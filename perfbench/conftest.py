@@ -1,0 +1,6 @@
+"""Make the benchmark's tests import cornerpack from ``src/`` without an install."""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
