@@ -3,8 +3,8 @@
 Subcommands: solve, compact, decompose, gen, render, oracle, check3d.
 Exit codes are uniform across commands: 0 success/feasible, 1 infeasible
 (after exhaustive search), 2 search gave up on a limit, 3 malformed or
-unusable input. Canonical documents go to stdout; progress notes and
-diagnostics go to stderr.
+unusable input, 4 internal error (a bug, never a verdict). Canonical
+documents go to stdout; progress notes and diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ EXIT_FEASIBLE = 0
 EXIT_INFEASIBLE = 1
 EXIT_UNKNOWN = 2
 EXIT_INPUT_ERROR = 3
+EXIT_INTERNAL_ERROR = 4
 
 
 class _UsageError(Exception):
@@ -244,6 +245,9 @@ def main(argv: list[str] | None = None) -> int:
     except (FileFormatError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except Exception as e:
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":

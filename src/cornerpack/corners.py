@@ -4,6 +4,10 @@ A bottom-left corner is relative to a concrete shape: it is a position and
 orientation at which the shape fits inside the container, overlaps
 nothing, and is bottom-left stable the moment it is placed. Placing a
 rectangle onto such a corner is the only move the exact solver performs.
+
+One scan, :func:`_corner_scan`, decides that test and names the supports
+in the same pass over the placed rectangles; enumeration runs it over all
+candidate edges, action validation over the one position named.
 """
 
 from __future__ import annotations
@@ -11,12 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .geometry import (
-    Packing,
-    Placement,
-    RectDims,
-    _interval_overlap,
-)
+from .geometry import Container, Packing, Placement, RectDims
 
 
 class Border(Enum):
@@ -31,6 +30,8 @@ BOTTOM_BORDER = Border.BOTTOM
 
 # A corner support is either the index of a placed rectangle or a border.
 Support = int | Border
+# A placed rectangle as (x1, y1, x2, y2).
+_Box = tuple[int, int, int, int]
 
 
 class StaleCornerError(ValueError):
@@ -65,85 +66,94 @@ class CornerAction:
     corner: Corner
 
 
-def _boxes(p: Packing) -> dict[int, tuple[int, int, int, int]]:
-    """Placed rectangles as index -> (x1, y1, x2, y2)."""
+def _boxes(p: Packing) -> dict[int, _Box]:
+    """Placed rectangles by index."""
     return {i: (r.x, r.y, r.x2, r.y2) for i, r in p.iter_placed()}
 
 
-def _stable_positions(
-    boxes: list[tuple[int, int, int, int]], width: int, height: int, ew: int, eh: int
-) -> list[tuple[int, int]]:
-    """All (x, y) where an ew x eh shape fits, overlaps nothing and is stable.
+def _touches(box: _Box, target: _Box, left: bool) -> bool:
+    """True when ``box`` borders ``target`` on the target's left or bottom side.
 
-    Candidate coordinates are the left/bottom borders and the right/top
-    edges of placed rectangles: with integral geometry a blocked unit
-    slide needs a blocker edge exactly at the shape's own edge, so no
-    other position can be stable. Results are sorted by (y, x).
+    The shared boundary segment must have positive length; touching at a
+    single point blocks no slide.
     """
-    if ew > width or eh > height:
-        return []
-    xs = {0}
-    ys = {0}
-    for x1, y1, x2, y2 in boxes:
-        if x2 + ew <= width:
-            xs.add(x2)
-        if y2 + eh <= height:
-            ys.add(y2)
+    bx1, by1, bx2, by2 = box
+    x, y, x2, y2 = target
+    if left:
+        return bx2 == x and by1 < y2 and by2 > y
+    return by2 == y and bx1 < x2 and bx2 > x
+
+
+def _corner_scan(
+    boxes: dict[int, _Box], c: Container, ew: int, eh: int, xs: list[int], ys: list[int]
+) -> list[tuple[int, int, Support, Support]]:
+    """The candidates (x, y) at which an ew x eh shape sits on a corner.
+
+    A corner is a position where the shape fits in the container,
+    overlaps no box, and is blocked both leftward and downward. Each hit
+    comes as ``(x, y, left_support, bottom_support)``: a border wins at
+    coordinate zero, otherwise the lowest-indexed box touching that side,
+    found in the same pass over the boxes as the overlap test. ``xs`` and
+    ``ys`` must be ascending; hits come out sorted by (y, x).
+    """
+    placed = list(boxes.items())
     out = []
-    for y in sorted(ys):
-        for x in sorted(xs):
-            x2_new = x + ew
-            y2_new = y + eh
-            ok = True
-            down_blocked = y == 0
-            left_blocked = x == 0
-            for bx1, by1, bx2, by2 in boxes:
-                if bx1 < x2_new and bx2 > x and by1 < y2_new and by2 > y:
-                    ok = False
+    for y in ys:
+        y2 = y + eh
+        if y2 > c.height:
+            break
+        for x in xs:
+            x2 = x + ew
+            if x2 > c.width:
+                break
+            left = LEFT_BORDER if x == 0 else None
+            bottom = BOTTOM_BORDER if y == 0 else None
+            for j, (bx1, by1, bx2, by2) in placed:
+                if bx1 < x2 and bx2 > x and by1 < y2 and by2 > y:
                     break
-                if not down_blocked and by2 == y and bx1 < x2_new and bx2 > x:
-                    down_blocked = True
-                if not left_blocked and bx2 == x and by1 < y2_new and by2 > y:
-                    left_blocked = True
-            if ok and down_blocked and left_blocked:
-                out.append((x, y))
+                if bottom is None and by2 == y and bx1 < x2 and bx2 > x:
+                    bottom = j
+                if left is None and bx2 == x and by1 < y2 and by2 > y:
+                    left = j
+            else:
+                if left is not None and bottom is not None:
+                    out.append((x, y, left, bottom))
     return out
 
 
 def _supports(p: Packing, x: int, y: int, ew: int, eh: int) -> tuple[Support, Support]:
-    """Identify one left and one bottom support for a stable position.
+    """The left and bottom supports of an ew x eh shape placed at (x, y).
 
-    Borders win at coordinate zero; otherwise the lowest-indexed touching
-    blocker is reported.
+    Raises StaleCornerError when (x, y) is not a corner of ``p``.
     """
-    left: Support | None = LEFT_BORDER if x == 0 else None
-    bottom: Support | None = BOTTOM_BORDER if y == 0 else None
-    for j, other in p.iter_placed():
-        if left is None and other.x2 == x and _interval_overlap(other.y, other.y2, y, y + eh) > 0:
-            left = j
-        if bottom is None and other.y2 == y and _interval_overlap(other.x, other.x2, x, x + ew) > 0:
-            bottom = j
-    if left is None or bottom is None:
-        raise StaleCornerError(f"position ({x}, {y}) has no support on some side")
-    return left, bottom
+    found = _corner_scan(_boxes(p), p.instance.container, ew, eh, [x], [y])
+    if not found:
+        raise StaleCornerError(f"position ({x}, {y}) is not a corner")
+    return found[0][2], found[0][3]
 
 
 def enumerate_corners(p: Packing, shape: RectDims) -> list[Corner]:
     """All bottom-left corners of the partial packing ``p`` for ``shape``.
 
+    Candidates are the borders (coordinate 0) and the right/top edges of
+    placed rectangles: with integral geometry, a shape blocked from
+    sliding left or down needs a border or a blocker edge exactly at its
+    own left or bottom edge, so no other coordinate can be a corner. One
+    scan per orientation tests every candidate and names its supports.
     Both orientations are scanned unless the shape is square, for which
     the rotated placement would duplicate the unrotated one. The result is
     sorted by (y, x, rotated) with duplicates impossible by construction.
     """
+    boxes = _boxes(p)
+    xs = sorted({0, *(b[2] for b in boxes.values())})
+    ys = sorted({0, *(b[3] for b in boxes.values())})
     c = p.instance.container
-    boxes = list(_boxes(p).values())
     found = []
     orientations = (False,) if shape.is_square else (False, True)
     for rotated in orientations:
         ew = shape.height if rotated else shape.width
         eh = shape.width if rotated else shape.height
-        for x, y in _stable_positions(boxes, c.width, c.height, ew, eh):
-            left, bottom = _supports(p, x, y, ew, eh)
+        for x, y, left, bottom in _corner_scan(boxes, c, ew, eh, xs, ys):
             found.append(Corner(x, y, rotated, left, bottom))
     found.sort(key=lambda corner: (corner.y, corner.x, corner.rotated))
     return found
@@ -160,38 +170,21 @@ def _check_action(p: Packing, a: CornerAction) -> None:
     shape = p.instance.rects[i]
     ew = shape.height if corner.rotated else shape.width
     eh = shape.width if corner.rotated else shape.height
-    c = p.instance.container
     x, y = corner.x, corner.y
-    if x + ew > c.width or y + eh > c.height:
-        raise StaleCornerError(f"shape does not fit at ({x}, {y})")
-
-    down_blocked = y == 0
-    left_blocked = x == 0
-    for _, other in p.iter_placed():
-        if other.x < x + ew and other.x2 > x and other.y < y + eh and other.y2 > y:
-            raise StaleCornerError(f"placement at ({x}, {y}) overlaps rectangle")
-        if other.y2 == y and _interval_overlap(other.x, other.x2, x, x + ew) > 0:
-            down_blocked = True
-        if other.x2 == x and _interval_overlap(other.y, other.y2, y, y + eh) > 0:
-            left_blocked = True
-    if not (down_blocked and left_blocked):
-        raise StaleCornerError(f"placement at ({x}, {y}) is not bottom-left stable")
-
-    for support, is_left in ((corner.left_support, True), (corner.bottom_support, False)):
+    boxes = _boxes(p)
+    if not _corner_scan(boxes, p.instance.container, ew, eh, [x], [y]):
+        raise StaleCornerError(f"({x}, {y}) is not a corner for rectangle {i}")
+    target = (x, y, x + ew, y + eh)
+    for side, support, border, at_zero in (
+        ("left", corner.left_support, LEFT_BORDER, x == 0),
+        ("bottom", corner.bottom_support, BOTTOM_BORDER, y == 0),
+    ):
         if isinstance(support, Border):
-            if is_left and (support is not LEFT_BORDER or x != 0):
-                raise StaleCornerError("left border named as support away from x = 0")
-            if not is_left and (support is not BOTTOM_BORDER or y != 0):
-                raise StaleCornerError("bottom border named as support away from y = 0")
-            continue
-        if p.placements[support] is None:
-            raise StaleCornerError(f"support rectangle {support} is not placed")
-        other = p.placed_rect(support)
-        if is_left:
-            touching = other.x2 == x and _interval_overlap(other.y, other.y2, y, y + eh) > 0
-        else:
-            touching = other.y2 == y and _interval_overlap(other.x, other.x2, x, x + ew) > 0
-        if not touching:
+            if support is not border or not at_zero:
+                raise StaleCornerError(f"{support.value} cannot support the {side} at ({x}, {y})")
+        elif support not in boxes:
+            raise StaleCornerError(f"{side} support {support} is not a placed rectangle")
+        elif not _touches(boxes[support], target, side == "left"):
             raise StaleCornerError(f"rectangle {support} no longer supports ({x}, {y})")
 
 
@@ -213,17 +206,10 @@ def supporting_rects(p: Packing, i: int) -> set[int]:
     positive length that lie under it or to its left. Borders are not
     reported; a rectangle resting only on borders has no supporters.
     """
-    target = p.placed_rect(i)
-    supports = set()
-    for j, other in p.iter_placed():
-        if j == i:
-            continue
-        under = other.y2 == target.y and _interval_overlap(
-            other.x, other.x2, target.x, target.x2
-        ) > 0
-        left_of = other.x2 == target.x and _interval_overlap(
-            other.y, other.y2, target.y, target.y2
-        ) > 0
-        if under or left_of:
-            supports.add(j)
-    return supports
+    r = p.placed_rect(i)
+    target = (r.x, r.y, r.x2, r.y2)
+    return {
+        j
+        for j, box in _boxes(p).items()
+        if j != i and (_touches(box, target, True) or _touches(box, target, False))
+    }

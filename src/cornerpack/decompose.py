@@ -53,6 +53,21 @@ def _rank(r: PlacedRect, i: int) -> tuple[int, int, int]:
     return (r.x2, r.y2, -i)
 
 
+def _climb(live: dict[int, PlacedRect]) -> EscapeChain:
+    """The escape chain among ``live``, which must be non-empty and disjoint."""
+    current = max(live, key=lambda i: _rank(live[i], i))
+    chain = [current]
+    while True:
+        over = [i for i, r in live.items() if i != current and is_over(r, live[current])]
+        if not over:
+            return EscapeChain(tuple(chain))
+        nxt = max(over, key=lambda i: _rank(live[i], i))
+        if live[nxt].y < live[current].y2 or len(chain) >= len(live):
+            raise RuntimeError("internal contradiction: escape chain failed to climb strictly")
+        current = nxt
+        chain.append(current)
+
+
 def find_escaper(p: Packing, restrict: frozenset[int] | None = None) -> EscapeChain:
     """Find a rectangle free to move both up and right.
 
@@ -69,17 +84,7 @@ def find_escaper(p: Packing, restrict: frozenset[int] | None = None) -> EscapeCh
     live = {i: r for i, r in p.iter_placed() if restrict is None or i in restrict}
     if not live:
         raise ValueError("escape search requires at least one placed rectangle")
-    current = max(live, key=lambda i: _rank(live[i], i))
-    chain = [current]
-    while True:
-        over = [i for i, r in live.items() if i != current and is_over(r, live[current])]
-        if not over:
-            return EscapeChain(tuple(chain))
-        nxt = max(over, key=lambda i: _rank(live[i], i))
-        if live[nxt].y < live[current].y2 or len(chain) >= len(live):
-            raise RuntimeError("internal contradiction: escape chain failed to climb strictly")
-        current = nxt
-        chain.append(current)
+    return _climb(live)
 
 
 def extraction_order(p: Packing) -> tuple[int, ...]:
@@ -88,14 +93,17 @@ def extraction_order(p: Packing) -> tuple[int, ...]:
     Each round re-runs the escape search on the rectangles still present,
     so ranks and over-relations always refer to the current residue. In
     the returned order, no later entry is over or right of an earlier
-    one; that relation is re-audited before returning.
+    one; that relation is re-audited before returning. Raises
+    InfeasiblePackingError on overlapping or protruding input.
     """
-    remaining = frozenset(p.placed_indices())
+    if not is_feasible(p):
+        raise InfeasiblePackingError("extraction order requires a feasible packing")
+    live = dict(p.iter_placed())
     order = []
-    while remaining:
-        chain = find_escaper(p, restrict=remaining)
-        order.append(chain.escaper)
-        remaining = remaining - {chain.escaper}
+    while live:
+        escaper = _climb(live).escaper
+        order.append(escaper)
+        del live[escaper]
     for k, earlier in enumerate(order):
         for later in order[k + 1 :]:
             a, b = p.placed_rect(later), p.placed_rect(earlier)

@@ -82,6 +82,21 @@ def test_missing_and_malformed_inputs_exit_three(workdir, capsys):
     capsys.readouterr()
 
 
+def test_internal_error_exits_four_not_infeasible(workdir, monkeypatch, capsys):
+    import cornerpack.cli as cli
+
+    def broken_solve(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "solve", broken_solve)
+    _, write = workdir
+    code = main(["solve", write("inst.json", FEASIBLE_INSTANCE)])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_INTERNAL_ERROR == 4
+    assert out == ""
+    assert err.splitlines() == ["internal error: RuntimeError: boom"]
+
+
 def test_usage_errors_exit_three_not_two(capsys):
     assert main(["no-such-command"]) == 3
     assert main(["gen", "--container", "nonsense", "--count", "1"]) == 3

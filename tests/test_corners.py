@@ -17,6 +17,7 @@ from cornerpack import (
     enumerate_corners,
     is_bottom_left_stable_rect,
     is_feasible,
+    oracle_corners,
     supporting_rects,
 )
 
@@ -113,6 +114,42 @@ def test_apply_action_rejects_unstable_fabricated_corner():
     fake = Corner(3, 0, False, LEFT_BORDER, BOTTOM_BORDER)
     with pytest.raises(StaleCornerError):
         apply_action(p, CornerAction(0, fake))
+
+
+def test_apply_action_rejects_out_of_range_support_index():
+    # Rect 2 at (2, 0) rests against rect 0; only the index 0 names it.
+    p = make_packing(6, 2, (2, 2, 0, 0), (2, 2, None, None), (2, 2, None, None))
+    apply_action(p, CornerAction(2, Corner(2, 0, False, 0, BOTTOM_BORDER)))
+    for bad in (-3, -1, 3, 10):
+        with pytest.raises(StaleCornerError):
+            apply_action(p, CornerAction(2, Corner(2, 0, False, bad, BOTTOM_BORDER)))
+
+
+def test_apply_action_agrees_with_oracle_corners():
+    # Positions the brute-force oracle does not list are rejected whatever
+    # supports are named; listed ones are accepted with the enumerated
+    # supports.
+    rng = random.Random(4242)
+    for _ in range(200):
+        p = random_partial_packing(rng, max_side=5, max_n=5)
+        c = p.instance.container
+        choices = [LEFT_BORDER, BOTTOM_BORDER, *p.placed_indices()]
+        for i in p.unplaced_indices():
+            shape = p.instance.rects[i]
+            listed = set(oracle_corners(p, shape))
+            enumerated = {corner.position: corner for corner in enumerate_corners(p, shape)}
+            assert set(enumerated) == listed
+            for x in range(c.width):
+                for y in range(c.height):
+                    for rotated in (False,) if shape.is_square else (False, True):
+                        if (x, y, rotated) in listed:
+                            apply_action(p, CornerAction(i, enumerated[x, y, rotated]))
+                            continue
+                        for left in choices:
+                            for bottom in choices:
+                                corner = Corner(x, y, rotated, left, bottom)
+                                with pytest.raises(StaleCornerError):
+                                    apply_action(p, CornerAction(i, corner))
 
 
 def test_supporting_rects_border_only():

@@ -94,6 +94,11 @@ def test_extraction_order_stack():
     assert extraction_order(p) == (1, 0)
 
 
+def test_extraction_order_requires_feasible_input():
+    with pytest.raises(InfeasiblePackingError):
+        extraction_order(make_packing(4, 4, (2, 2, 0, 0), (2, 2, 1, 1)))
+
+
 def test_extraction_order_respects_restriction_to_residue():
     rng = random.Random(77)
     for _ in range(200):
