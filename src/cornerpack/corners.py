@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .geometry import Container, Packing, Placement, RectDims
+from .geometry import Box, Container, Packing, Placement, RectDims, box_touches, boxes_overlap
 
 
 class Border(Enum):
@@ -30,8 +30,6 @@ BOTTOM_BORDER = Border.BOTTOM
 
 # A corner support is either the index of a placed rectangle or a border.
 Support = int | Border
-# A placed rectangle as (x1, y1, x2, y2).
-_Box = tuple[int, int, int, int]
 
 
 class StaleCornerError(ValueError):
@@ -66,26 +64,8 @@ class CornerAction:
     corner: Corner
 
 
-def _boxes(p: Packing) -> dict[int, _Box]:
-    """Placed rectangles by index."""
-    return {i: (r.x, r.y, r.x2, r.y2) for i, r in p.iter_placed()}
-
-
-def _touches(box: _Box, target: _Box, left: bool) -> bool:
-    """True when ``box`` borders ``target`` on the target's left or bottom side.
-
-    The shared boundary segment must have positive length; touching at a
-    single point blocks no slide.
-    """
-    bx1, by1, bx2, by2 = box
-    x, y, x2, y2 = target
-    if left:
-        return bx2 == x and by1 < y2 and by2 > y
-    return by2 == y and bx1 < x2 and bx2 > x
-
-
 def _corner_scan(
-    boxes: dict[int, _Box], c: Container, ew: int, eh: int, xs: list[int], ys: list[int]
+    boxes: dict[int, Box], c: Container, ew: int, eh: int, xs: list[int], ys: list[int]
 ) -> list[tuple[int, int, Support, Support]]:
     """The candidates (x, y) at which an ew x eh shape sits on a corner.
 
@@ -106,14 +86,15 @@ def _corner_scan(
             x2 = x + ew
             if x2 > c.width:
                 break
+            target = (x, y, x2, y2)
             left = LEFT_BORDER if x == 0 else None
             bottom = BOTTOM_BORDER if y == 0 else None
-            for j, (bx1, by1, bx2, by2) in placed:
-                if bx1 < x2 and bx2 > x and by1 < y2 and by2 > y:
+            for j, box in placed:
+                if boxes_overlap(box, target):
                     break
-                if bottom is None and by2 == y and bx1 < x2 and bx2 > x:
+                if bottom is None and box_touches(box, target, False):
                     bottom = j
-                if left is None and bx2 == x and by1 < y2 and by2 > y:
+                if left is None and box_touches(box, target, True):
                     left = j
             else:
                 if left is not None and bottom is not None:
@@ -126,7 +107,7 @@ def _supports(p: Packing, x: int, y: int, ew: int, eh: int) -> tuple[Support, Su
 
     Raises StaleCornerError when (x, y) is not a corner of ``p``.
     """
-    found = _corner_scan(_boxes(p), p.instance.container, ew, eh, [x], [y])
+    found = _corner_scan(p.boxes(), p.instance.container, ew, eh, [x], [y])
     if not found:
         raise StaleCornerError(f"position ({x}, {y}) is not a corner")
     return found[0][2], found[0][3]
@@ -144,7 +125,7 @@ def enumerate_corners(p: Packing, shape: RectDims) -> list[Corner]:
     the rotated placement would duplicate the unrotated one. The result is
     sorted by (y, x, rotated) with duplicates impossible by construction.
     """
-    boxes = _boxes(p)
+    boxes = p.boxes()
     xs = sorted({0, *(b[2] for b in boxes.values())})
     ys = sorted({0, *(b[3] for b in boxes.values())})
     c = p.instance.container
@@ -171,7 +152,7 @@ def _check_action(p: Packing, a: CornerAction) -> None:
     ew = shape.height if corner.rotated else shape.width
     eh = shape.width if corner.rotated else shape.height
     x, y = corner.x, corner.y
-    boxes = _boxes(p)
+    boxes = p.boxes()
     if not _corner_scan(boxes, p.instance.container, ew, eh, [x], [y]):
         raise StaleCornerError(f"({x}, {y}) is not a corner for rectangle {i}")
     target = (x, y, x + ew, y + eh)
@@ -184,7 +165,7 @@ def _check_action(p: Packing, a: CornerAction) -> None:
                 raise StaleCornerError(f"{support.value} cannot support the {side} at ({x}, {y})")
         elif support not in boxes:
             raise StaleCornerError(f"{side} support {support} is not a placed rectangle")
-        elif not _touches(boxes[support], target, side == "left"):
+        elif not box_touches(boxes[support], target, side == "left"):
             raise StaleCornerError(f"rectangle {support} no longer supports ({x}, {y})")
 
 
@@ -206,10 +187,9 @@ def supporting_rects(p: Packing, i: int) -> set[int]:
     positive length that lie under it or to its left. Borders are not
     reported; a rectangle resting only on borders has no supporters.
     """
-    r = p.placed_rect(i)
-    target = (r.x, r.y, r.x2, r.y2)
+    target = p.placed_rect(i).box
     return {
         j
-        for j, box in _boxes(p).items()
-        if j != i and (_touches(box, target, True) or _touches(box, target, False))
+        for j, box in p.boxes().items()
+        if j != i and (box_touches(box, target, True) or box_touches(box, target, False))
     }

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .corners import Corner, CornerAction, StaleCornerError, _supports, apply_action
-from .geometry import RIGHT, UP, Packing, PlacedRect, free_directions, is_feasible, is_over, is_right_of
+from .geometry import RIGHT, UP, Box, Packing, box_over, box_right_of, free_directions, is_feasible
 from .stability import InfeasiblePackingError, is_bottom_left_stable
 
 _BOTH = frozenset((UP, RIGHT))
@@ -47,41 +47,41 @@ class EscapeChain:
         return len(self.visited)
 
 
-def _rank(r: PlacedRect, i: int) -> tuple[int, int, int]:
+def _rank(box: Box, i: int) -> tuple[int, int, int]:
     # Top-right corner, lexicographic; lower index wins ties (disjoint
     # rectangles cannot tie, the index term is belt and braces).
-    return (r.x2, r.y2, -i)
+    return (box[2], box[3], -i)
 
 
-def _climb(live: dict[int, PlacedRect]) -> EscapeChain:
+def _climb(live: dict[int, Box]) -> EscapeChain:
     """The escape chain among ``live``, which must be non-empty and disjoint."""
     current = max(live, key=lambda i: _rank(live[i], i))
     chain = [current]
     while True:
-        over = [i for i, r in live.items() if i != current and is_over(r, live[current])]
+        top = live[current]
+        over = [i for i, box in live.items() if i != current and box_over(box, top)]
         if not over:
             return EscapeChain(tuple(chain))
         nxt = max(over, key=lambda i: _rank(live[i], i))
-        if live[nxt].y < live[current].y2 or len(chain) >= len(live):
+        if live[nxt][1] < top[3] or len(chain) >= len(live):
             raise RuntimeError("internal contradiction: escape chain failed to climb strictly")
         current = nxt
         chain.append(current)
 
 
-def find_escaper(p: Packing, restrict: frozenset[int] | None = None) -> EscapeChain:
+def find_escaper(p: Packing) -> EscapeChain:
     """Find a rectangle free to move both up and right.
 
     Starts from the placed rectangle with the largest top-right corner and
     repeatedly steps to the highest-ranked rectangle over the current one;
-    when nothing is over it, the current rectangle is the escaper. With
-    ``restrict`` the search behaves as if only those indices were placed.
+    when nothing is over it, the current rectangle is the escaper.
 
     Raises InfeasiblePackingError on overlapping or protruding input and
     ValueError when no rectangle is placed at all.
     """
     if not is_feasible(p):
         raise InfeasiblePackingError("escape search requires a feasible packing")
-    live = {i: r for i, r in p.iter_placed() if restrict is None or i in restrict}
+    live = p.boxes()
     if not live:
         raise ValueError("escape search requires at least one placed rectangle")
     return _climb(live)
@@ -98,7 +98,8 @@ def extraction_order(p: Packing) -> tuple[int, ...]:
     """
     if not is_feasible(p):
         raise InfeasiblePackingError("extraction order requires a feasible packing")
-    live = dict(p.iter_placed())
+    boxes = p.boxes()
+    live = dict(boxes)
     order = []
     while live:
         escaper = _climb(live).escaper
@@ -106,8 +107,7 @@ def extraction_order(p: Packing) -> tuple[int, ...]:
         del live[escaper]
     for k, earlier in enumerate(order):
         for later in order[k + 1 :]:
-            a, b = p.placed_rect(later), p.placed_rect(earlier)
-            if is_over(a, b) or is_right_of(a, b):
+            if box_over(boxes[later], boxes[earlier]) or box_right_of(boxes[later], boxes[earlier]):
                 raise RuntimeError(
                     "internal contradiction: extraction order leaves "
                     f"rectangle {later} over or right of rectangle {earlier}"
@@ -158,9 +158,10 @@ def placement_order(p: Packing) -> PlacementOrder:
 
     The reverse of the extraction order works: whatever was extracted
     later gets placed earlier, and its supports are always among the
-    rectangles placed before it. Each action is validated during
-    construction, including that the freshly placed rectangle ends up
-    with nothing over it and nothing on its right.
+    rectangles placed before it. Each action is validated once during
+    construction, by the corner scan that names its supports, and the
+    freshly placed rectangle must end up with nothing over it and nothing
+    on its right.
 
     Raises InfeasiblePackingError on infeasible input and
     NotBottomLeftStableError when some rectangle could still slide down
@@ -173,18 +174,19 @@ def placement_order(p: Packing) -> PlacementOrder:
             "packing is not bottom-left stable; compact() it before ordering"
         )
     order = tuple(reversed(extraction_order(p)))
+    boxes = p.boxes()
     current = Packing.empty(p.instance)
     actions = []
     for i in order:
-        rect = p.placed_rect(i)
+        x, y, x2, y2 = boxes[i]
         try:
-            left, bottom = _supports(current, rect.x, rect.y, rect.width, rect.height)
-            action = CornerAction(i, Corner(rect.x, rect.y, p.placements[i].rotated, left, bottom))
-            current = apply_action(current, action)
+            left, bottom = _supports(current, x, y, x2 - x, y2 - y)
         except StaleCornerError as e:
             raise RuntimeError(
                 f"internal contradiction: rectangle {i} is not corner-placeable in order"
             ) from e
+        action = CornerAction(i, Corner(x, y, p.placements[i].rotated, left, bottom))
+        current = current.with_placement(i, p.placements[i])
         if free_directions(i, current) != _BOTH:
             raise RuntimeError(
                 f"internal contradiction: rectangle {i} placed under or left of another"

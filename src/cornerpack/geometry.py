@@ -3,6 +3,10 @@
 All coordinates and extents are integers. A placed rectangle occupies the
 half-open box ``[x, x + w) x [y, y + h)``, so rectangles that merely share
 an edge or a corner have zero overlap area and all computations are exact.
+
+Only this module turns placements into boxes ``(x1, y1, x2, y2)``
+(:meth:`Packing.boxes`) and relates two boxes: overlap, over, right of,
+and edge contact. Other layers call these box predicates.
 """
 
 from __future__ import annotations
@@ -76,6 +80,17 @@ class Placement:
             raise ValueError(f"placement coordinates must be >= 0, got ({self.x}, {self.y})")
 
 
+# A placed rectangle as the half-open box (x1, y1, x2, y2).
+Box = tuple[int, int, int, int]
+
+
+def _box(dims: RectDims, pl: Placement) -> Box:
+    """The box ``dims`` covers at ``pl``; a rotated rectangle swaps its sides."""
+    if pl.rotated:
+        return (pl.x, pl.y, pl.x + dims.height, pl.y + dims.width)
+    return (pl.x, pl.y, pl.x + dims.width, pl.y + dims.height)
+
+
 @dataclass(frozen=True)
 class PlacedRect:
     """A rectangle bound to a placement; the unit all geometry operates on."""
@@ -84,14 +99,19 @@ class PlacedRect:
     placement: Placement
 
     @property
+    def box(self) -> Box:
+        """The half-open box ``(x, y, x2, y2)`` the rectangle covers."""
+        return _box(self.dims, self.placement)
+
+    @property
     def width(self) -> int:
         """Effective width (sides swapped when rotated)."""
-        return self.dims.height if self.placement.rotated else self.dims.width
+        return self.x2 - self.x
 
     @property
     def height(self) -> int:
         """Effective height (sides swapped when rotated)."""
-        return self.dims.width if self.placement.rotated else self.dims.height
+        return self.y2 - self.y
 
     @property
     def x(self) -> int:
@@ -104,12 +124,12 @@ class PlacedRect:
     @property
     def x2(self) -> int:
         """Right edge (exclusive)."""
-        return self.placement.x + self.width
+        return self.box[2]
 
     @property
     def y2(self) -> int:
         """Top edge (exclusive)."""
-        return self.placement.y + self.height
+        return self.box[3]
 
     @property
     def area(self) -> int:
@@ -175,6 +195,11 @@ class Packing:
             raise ValueError(f"rectangle {i} is not placed")
         return PlacedRect(self.instance.rects[i], pl)
 
+    def boxes(self) -> dict[int, Box]:
+        """The placed rectangles as boxes, by index, built afresh on each call."""
+        rects = self.instance.rects
+        return {i: _box(rects[i], pl) for i, pl in enumerate(self.placements) if pl is not None}
+
     def iter_placed(self) -> Iterator[tuple[int, PlacedRect]]:
         for i, pl in enumerate(self.placements):
             if pl is not None:
@@ -194,24 +219,46 @@ def _interval_overlap(a1: int, a2: int, b1: int, b2: int) -> int:
     return hi - lo if hi > lo else 0
 
 
+def boxes_overlap(a: Box, b: Box) -> bool:
+    """True when the boxes share positive area; touching edges do not count."""
+    return a[0] < b[2] and b[0] < a[2] and a[1] < b[3] and b[1] < a[3]
+
+
+def box_over(a: Box, b: Box) -> bool:
+    """True when ``a`` starts at or above ``b``'s top and their x-intervals meet."""
+    return a[1] >= b[3] and a[0] < b[2] and b[0] < a[2]
+
+
+def box_right_of(a: Box, b: Box) -> bool:
+    """Mirror of :func:`box_over`: ``a`` starts at or beyond ``b``'s right edge."""
+    return a[0] >= b[2] and a[1] < b[3] and b[1] < a[3]
+
+
+def box_touches(a: Box, b: Box, left: bool) -> bool:
+    """True when ``a`` borders ``b`` on ``b``'s left (else bottom) side.
+
+    The shared segment must have positive length: a point blocks no slide.
+    """
+    if left:
+        return a[2] == b[0] and a[1] < b[3] and b[1] < a[3]
+    return a[3] == b[1] and a[0] < b[2] and b[0] < a[2]
+
+
 def overlap_area(a: PlacedRect, b: PlacedRect) -> int:
     """Area of the intersection of two placed rectangles.
 
     Zero when the rectangles only touch along an edge or at a corner.
     Symmetric in its arguments.
     """
-    ox = _interval_overlap(a.x, a.x2, b.x, b.x2)
-    if ox == 0:
-        return 0
-    oy = _interval_overlap(a.y, a.y2, b.y, b.y2)
-    return ox * oy
+    ax1, ay1, ax2, ay2 = a.box
+    bx1, by1, bx2, by2 = b.box
+    return _interval_overlap(ax1, ax2, bx1, bx2) * _interval_overlap(ay1, ay2, by1, by2)
 
 
 def outside_area(r: PlacedRect, c: Container) -> int:
     """Area of ``r`` protruding beyond the container's borders."""
-    inside_x = _interval_overlap(r.x, r.x2, 0, c.width)
-    inside_y = _interval_overlap(r.y, r.y2, 0, c.height)
-    return r.area - inside_x * inside_y
+    x1, y1, x2, y2 = r.box
+    return r.area - _interval_overlap(x1, x2, 0, c.width) * _interval_overlap(y1, y2, 0, c.height)
 
 
 def total_overlap(p: Packing) -> int:
@@ -233,21 +280,19 @@ def total_overlap(p: Packing) -> int:
 
 def is_feasible(p: Packing) -> bool:
     """True when no two placed rectangles overlap and all lie in the container."""
-    placed = [rect for _, rect in p.iter_placed()]
     c = p.instance.container
-    for rect in placed:
-        if rect.x2 > c.width or rect.y2 > c.height:
+    placed = list(p.boxes().values())
+    for k, a in enumerate(placed):
+        if a[2] > c.width or a[3] > c.height:
             return False
-    for i in range(len(placed)):
-        a = placed[i]
-        for j in range(i + 1, len(placed)):
-            if overlap_area(a, placed[j]) > 0:
+        for b in placed[k + 1 :]:
+            if boxes_overlap(a, b):
                 return False
     return True
 
 
-def _require_disjoint(a: PlacedRect, b: PlacedRect) -> None:
-    if overlap_area(a, b) > 0:
+def _require_disjoint(a: Box, b: Box) -> None:
+    if boxes_overlap(a, b):
         raise ValueError("directional relations are defined only for non-overlapping rectangles")
 
 
@@ -259,8 +304,9 @@ def is_over(a: PlacedRect, b: PlacedRect) -> bool:
     length and ``a`` starts at or above ``b``'s top edge. The rectangles
     must not overlap.
     """
-    _require_disjoint(a, b)
-    return a.y >= b.y2 and _interval_overlap(a.x, a.x2, b.x, b.x2) > 0
+    ab, bb = a.box, b.box
+    _require_disjoint(ab, bb)
+    return box_over(ab, bb)
 
 
 def is_right_of(a: PlacedRect, b: PlacedRect) -> bool:
@@ -269,8 +315,9 @@ def is_right_of(a: PlacedRect, b: PlacedRect) -> bool:
     Mirror of :func:`is_over`: positive y-interval intersection and ``a``
     starts at or beyond ``b``'s right edge.
     """
-    _require_disjoint(a, b)
-    return a.x >= b.x2 and _interval_overlap(a.y, a.y2, b.y, b.y2) > 0
+    ab, bb = a.box, b.box
+    _require_disjoint(ab, bb)
+    return box_right_of(ab, bb)
 
 
 def free_directions(i: int, p: Packing) -> frozenset[str]:
@@ -278,26 +325,15 @@ def free_directions(i: int, p: Packing) -> frozenset[str]:
 
     Contains ``up`` when no other placed rectangle is over ``i`` and
     ``right`` when none is to its right. Container borders are ignored:
-    this is freedom relative to the other rectangles only.
+    this is freedom relative to the other rectangles only. Raises
+    ValueError when any other placed rectangle overlaps ``i``.
     """
-    target = p.placed_rect(i)
-    up_free = True
-    right_free = True
-    for j, other in p.iter_placed():
-        if j == i:
-            continue
-        if up_free and is_over(other, target):
-            up_free = False
-        if right_free and is_right_of(other, target):
-            right_free = False
-        if not up_free and not right_free:
-            break
-    free = set()
-    if up_free:
-        free.add(UP)
-    if right_free:
-        free.add(RIGHT)
-    return frozenset(free)
+    target = p.placed_rect(i).box
+    others = [b for j, b in p.boxes().items() if j != i]
+    for b in others:
+        _require_disjoint(b, target)
+    blocking = {UP: box_over, RIGHT: box_right_of}
+    return frozenset(d for d, rel in blocking.items() if not any(rel(b, target) for b in others))
 
 
 def l_value(p: Packing) -> int:

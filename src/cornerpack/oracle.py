@@ -101,7 +101,7 @@ def oracle_corners(p: Packing, shape: RectDims) -> list[tuple[int, int, bool]]:
     """
     width = p.instance.container.width
     height = p.instance.container.height
-    placed = [(r.x, r.y, r.x2, r.y2) for _, r in p.iter_placed()]
+    placed = list(p.boxes().values())
     out = []
     for ew, eh, rotated in _orientations(shape):
         for y in range(max(0, height - eh + 1)):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .corners import CornerAction, apply_action, enumerate_corners
-from .geometry import Instance, Packing, is_feasible, is_over, is_right_of
+from .geometry import Instance, Packing, box_over, box_right_of, is_feasible
 from .stability import is_bottom_left_stable
 
 RECT_ORDERS = ("input", "area", "perimeter")
@@ -112,11 +112,10 @@ def _order_key(config: SolverConfig, instance: Instance):
 
 def _dominated(p: Packing, i: int) -> bool:
     """True when some other placed rectangle is over or right of rect ``i``."""
-    new = p.placed_rect(i)
-    for j, other in p.iter_placed():
-        if j != i and (is_over(other, new) or is_right_of(other, new)):
-            return True
-    return False
+    new = p.placed_rect(i).box
+    return any(
+        j != i and (box_over(box, new) or box_right_of(box, new)) for j, box in p.boxes().items()
+    )
 
 
 def solve(instance: Instance, config: SolverConfig | None = None) -> SolveResult:

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .geometry import _interval_overlap
+
 POS_X = "+x"
 POS_Y = "+y"
 POS_Z = "+z"
@@ -90,16 +92,12 @@ class Packing3:
     boxes: tuple[PlacedBox3, ...] = ()
 
 
-def _axis_overlap(a1: int, a2: int, b1: int, b2: int) -> int:
-    return max(0, min(a2, b2) - max(a1, b1))
-
-
 def overlap_volume(a: PlacedBox3, b: PlacedBox3) -> int:
     """Volume of the intersection of two placed boxes; symmetric."""
     return (
-        _axis_overlap(a.x, a.x2, b.x, b.x2)
-        * _axis_overlap(a.y, a.y2, b.y, b.y2)
-        * _axis_overlap(a.z, a.z2, b.z, b.z2)
+        _interval_overlap(a.x, a.x2, b.x, b.x2)
+        * _interval_overlap(a.y, a.y2, b.y, b.y2)
+        * _interval_overlap(a.z, a.z2, b.z, b.z2)
     )
 
 
@@ -132,9 +130,9 @@ def blocked_directions3(i: int, p: Packing3) -> frozenset[str]:
     for j, b in enumerate(p.boxes):
         if j == i:
             continue
-        x_over = _axis_overlap(a.x, a.x2, b.x, b.x2) > 0
-        y_over = _axis_overlap(a.y, a.y2, b.y, b.y2) > 0
-        z_over = _axis_overlap(a.z, a.z2, b.z, b.z2) > 0
+        x_over = _interval_overlap(a.x, a.x2, b.x, b.x2) > 0
+        y_over = _interval_overlap(a.y, a.y2, b.y, b.y2) > 0
+        z_over = _interval_overlap(a.z, a.z2, b.z, b.z2) > 0
         if y_over and z_over and b.x >= a.x2:
             blocked.add(POS_X)
         if x_over and z_over and b.y >= a.y2:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geometry import Packing, Placement, _interval_overlap, is_feasible, l_value
+from .geometry import Packing, Placement, box_over, box_right_of, is_feasible, l_value
 
 DOWN = "down"
 LEFT = "left"
@@ -54,30 +54,25 @@ def max_down_slide(i: int, p: Packing) -> int:
     The move must keep the packing feasible, so the floor and every
     rectangle below ``i`` with positive x-overlap limit the slide.
     """
-    target = p.placed_rect(i)
-    slide = target.y
-    for j, other in p.iter_placed():
-        if j == i:
-            continue
-        if other.y2 <= target.y and _interval_overlap(other.x, other.x2, target.x, target.x2) > 0:
-            gap = target.y - other.y2
-            if gap < slide:
-                slide = gap
-    return slide
+    target = p.placed_rect(i).box
+    below = [b[3] for j, b in p.boxes().items() if j != i and box_over(target, b)]
+    return target[1] - max(below, default=0)
 
 
 def max_left_slide(i: int, p: Packing) -> int:
     """Largest distance rectangle ``i`` can move straight left."""
-    target = p.placed_rect(i)
-    slide = target.x
-    for j, other in p.iter_placed():
-        if j == i:
-            continue
-        if other.x2 <= target.x and _interval_overlap(other.y, other.y2, target.y, target.y2) > 0:
-            gap = target.x - other.x2
-            if gap < slide:
-                slide = gap
-    return slide
+    target = p.placed_rect(i).box
+    left = [b[2] for j, b in p.boxes().items() if j != i and box_right_of(target, b)]
+    return target[0] - max(left, default=0)
+
+
+def _moved(pl: Placement, direction: str, distance: int) -> Placement:
+    """``pl`` moved ``distance`` units down or left."""
+    if direction == DOWN:
+        return Placement(pl.x, pl.y - distance, pl.rotated)
+    if direction == LEFT:
+        return Placement(pl.x - distance, pl.y, pl.rotated)
+    raise ValueError(f"unknown trace direction {direction!r}")
 
 
 def is_bottom_left_stable_rect(i: int, p: Packing) -> bool:
@@ -118,18 +113,12 @@ def compact(p: Packing) -> tuple[Packing, CompactionTrace]:
             key=lambda i: (current.placements[i].y, current.placements[i].x),
         )
         for i in order:
-            d = max_down_slide(i, current)
-            if d > 0:
-                pl = current.placements[i]
-                current = current.with_placement(i, Placement(pl.x, pl.y - d, pl.rotated))
-                steps.append((i, DOWN, d))
-                moved = True
-            d = max_left_slide(i, current)
-            if d > 0:
-                pl = current.placements[i]
-                current = current.with_placement(i, Placement(pl.x - d, pl.y, pl.rotated))
-                steps.append((i, LEFT, d))
-                moved = True
+            for direction, max_slide in ((DOWN, max_down_slide), (LEFT, max_left_slide)):
+                d = max_slide(i, current)
+                if d > 0:
+                    current = current.with_placement(i, _moved(current.placements[i], direction, d))
+                    steps.append((i, direction, d))
+                    moved = True
 
     trace = CompactionTrace(tuple(steps), initial, l_value(current))
     return current, trace
@@ -142,10 +131,5 @@ def apply_trace(p: Packing, trace: CompactionTrace) -> Packing:
         pl = current.placements[i]
         if pl is None:
             raise ValueError(f"trace moves unplaced rectangle {i}")
-        if direction == DOWN:
-            current = current.with_placement(i, Placement(pl.x, pl.y - distance, pl.rotated))
-        elif direction == LEFT:
-            current = current.with_placement(i, Placement(pl.x - distance, pl.y, pl.rotated))
-        else:
-            raise ValueError(f"unknown trace direction {direction!r}")
+        current = current.with_placement(i, _moved(pl, direction, distance))
     return current

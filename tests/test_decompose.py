@@ -8,16 +8,22 @@ from conftest import make_packing, random_complete_packing, random_loose_packing
 from cornerpack import (
     RIGHT,
     UP,
+    Container,
     CornerAction,
     EscapeChain,
     InfeasiblePackingError,
+    Instance,
     NotBottomLeftStableError,
+    Packing,
+    Placement,
     PlacementOrder,
     StaleCornerError,
+    apply_trace,
     compact,
     extraction_order,
     find_escaper,
     free_directions,
+    guillotine_layout,
     placement_order,
 )
 
@@ -160,6 +166,22 @@ def test_replay_round_trip_on_random_packings():
         # At every prefix the fresh rectangle is under and left of nothing.
         for step, i in enumerate(po.order, start=1):
             assert free_directions(i, states[step]) == {UP, RIGHT}
+
+
+@pytest.mark.parametrize("side, n", [(14, 60), (20, 120)])
+def test_round_trip_on_large_loose_packings(side, n):
+    # Guillotine tilings with every coordinate doubled in a doubled
+    # container: every rectangle floats, so compaction moves nearly all.
+    rng = random.Random(side * 1000 + n)
+    for _ in range(3):
+        layout = guillotine_layout(Container(side, side), n, rng)
+        loose = Packing(
+            Instance(Container(2 * side, 2 * side), layout.instance.rects),
+            tuple(Placement(2 * pl.x, 2 * pl.y, pl.rotated) for pl in layout.placements),
+        )
+        stable, trace = compact(loose)
+        assert apply_trace(loose, trace) == stable
+        assert placement_order(stable).replay()[-1] == stable
 
 
 def test_replay_validates_each_action():

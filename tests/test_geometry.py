@@ -24,6 +24,7 @@ from cornerpack import (
     overlap_area,
     total_overlap,
 )
+from cornerpack.geometry import box_over, box_right_of, box_touches, boxes_overlap
 
 
 def placed(w, h, x, y, rotated=False):
@@ -62,6 +63,9 @@ def test_rotation_swaps_effective_sides():
     r = placed(3, 2, 0, 0, rotated=True)
     assert (r.width, r.height) == (2, 3)
     assert (r.x2, r.y2) == (2, 3)
+    assert r.box == (0, 0, 2, 3)
+    p = make_packing(5, 5, (3, 2, 1, 1, True), (1, 1, None, None), (3, 2, 2, 0))
+    assert p.boxes() == {0: (1, 1, 3, 4), 2: (2, 0, 5, 2)}
 
 
 # --- overlap_area ---
@@ -147,6 +151,14 @@ def test_total_overlap_zero_iff_feasible_fuzz():
         )
         p = Packing(Instance(Container(width, height), dims), placements)
         assert (total_overlap(p) == 0) == is_feasible(p)
+        # The box view is the PlacedRect view, rotated rectangles included,
+        # and the box overlap predicate agrees with the overlap area.
+        rects = dict(p.iter_placed())
+        boxes = p.boxes()
+        assert boxes == {i: (r.x, r.y, r.x2, r.y2) for i, r in rects.items()}
+        for i in rects:
+            for j in rects:
+                assert boxes_overlap(boxes[i], boxes[j]) == (overlap_area(rects[i], rects[j]) > 0)
         agree += 1
     assert agree == 10_000
 
@@ -211,6 +223,13 @@ def test_is_over_matches_displacement_search():
         assert is_over(a, b) == by_shift
         by_shift_right = any(overlap_area(a, _shifted(b, d, 0)) > 0 for d in range(1, 30))
         assert is_right_of(a, b) == by_shift_right
+        assert box_over(a.box, b.box) == is_over(a, b)
+        assert box_right_of(a.box, b.box) == is_right_of(a, b)
+        # b touches a's left (bottom) side exactly when b ends at or before
+        # a starts and a unit shift of b right (up) makes them overlap.
+        for left, dx, dy, ends_before in ((True, 1, 0, b.x2 <= a.x), (False, 0, 1, b.y2 <= a.y)):
+            by_unit_shift = ends_before and overlap_area(a, _shifted(b, dx, dy)) > 0
+            assert box_touches(b.box, a.box, left) == by_unit_shift
         checked += 1
 
 
@@ -219,6 +238,7 @@ def test_over_is_antisymmetric_in_feasible_packings():
     for _ in range(300):
         p = random_partial_packing(rng)
         rects = dict(p.iter_placed())
+        boxes = p.boxes()
         for i in rects:
             for j in rects:
                 if i >= j:
@@ -227,6 +247,9 @@ def test_over_is_antisymmetric_in_feasible_packings():
                 assert not (
                     is_right_of(rects[i], rects[j]) and is_right_of(rects[j], rects[i])
                 )
+                for a, b in ((i, j), (j, i)):
+                    assert box_over(boxes[a], boxes[b]) == is_over(rects[a], rects[b])
+                    assert box_right_of(boxes[a], boxes[b]) == is_right_of(rects[a], rects[b])
                 # Over forces a strictly higher bottom edge, so chains of
                 # the relation climb and can never revisit a rectangle.
                 if is_over(rects[i], rects[j]):
@@ -251,6 +274,18 @@ def test_free_directions_ignores_borders():
     # Flush against the container's top-right corner, still "free".
     p = make_packing(4, 4, (2, 2, 2, 2))
     assert free_directions(0, p) == {UP, RIGHT}
+
+
+@pytest.mark.parametrize("overlapping_index", [1, 3])
+def test_free_directions_rejects_overlap_whatever_the_index(overlapping_index):
+    # Rect 0 is blocked up and right by two disjoint neighbours, so its
+    # answer is settled before an index-order scan reaches index 3; the
+    # overlapping neighbour must be rejected in either position.
+    others = [(2, 2, 0, 3), (2, 2, 3, 0)]
+    others.insert(overlapping_index - 1, (2, 2, 1, 1))
+    p = make_packing(6, 6, (2, 2, 0, 0), *others)
+    with pytest.raises(ValueError):
+        free_directions(0, p)
 
 
 # --- l_value ---
