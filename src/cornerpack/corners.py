@@ -5,17 +5,19 @@ orientation at which the shape fits inside the container, overlaps
 nothing, and is bottom-left stable the moment it is placed. Placing a
 rectangle onto such a corner is the only move the exact solver performs.
 
-One scan, :func:`_corner_scan`, decides that test and names the supports
-in the same pass over the placed rectangles; enumeration runs it over all
-candidate edges, action validation over the one position named.
+One bitboard scan, :func:`_corner_scan`, decides that test. The search
+runs it on its mutable :class:`_Board`; enumeration and action validation
+run it on rows built from a :class:`Packing` and then name the supports
+from the boxes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable, Iterator
 
-from .geometry import Box, Container, Packing, Placement, RectDims, box_touches, boxes_overlap
+from .geometry import Box, Container, Instance, Packing, Placement, RectDims, box_touches
 
 
 class Border(Enum):
@@ -64,42 +66,88 @@ class CornerAction:
     corner: Corner
 
 
-def _corner_scan(
-    boxes: dict[int, Box], c: Container, ew: int, eh: int, xs: list[int], ys: list[int]
-) -> list[tuple[int, int, Support, Support]]:
-    """The candidates (x, y) at which an ew x eh shape sits on a corner.
+def _rows(boxes: Iterable[Box], height: int, lo: int, hi: int) -> list[int]:
+    """The occupancy bitboard of ``boxes``: bit x of ``rows[y]`` is set when
+    a box covers cell (x, y). Only rows ``lo <= y < hi <= height`` are filled."""
+    rows = [0] * height
+    for x1, y1, x2, y2 in boxes:
+        if y1 < hi and y2 > lo:
+            bits = ((1 << (x2 - x1)) - 1) << x1
+            for y in range(max(y1, lo), min(y2, hi)):
+                rows[y] |= bits
+    return rows
 
-    A corner is a position where the shape fits in the container,
-    overlaps no box, and is blocked both leftward and downward. Each hit
-    comes as ``(x, y, left_support, bottom_support)``: a border wins at
-    coordinate zero, otherwise the lowest-indexed box touching that side,
-    found in the same pass over the boxes as the overlap test. ``xs`` and
-    ``ys`` must be ascending; hits come out sorted by (y, x).
+
+def _floors(rows: list[int], boxes: Iterable[Box | None]) -> list[int]:
+    """The rows a shape can rest on, ascending: 0, and each box top edge y
+    at which row y - 1 covers a cell that row y leaves free."""
+    tops = sorted({b[3] for b in boxes if b is not None and b[3] < len(rows)})
+    return [0] + [y for y in tops if rows[y - 1] & ~rows[y]]
+
+
+def _corner_scan(rows: list[int], width: int, ew: int, eh: int, ys: list[int]) -> list[Box]:
+    """The boxes at which an ew x eh shape sits on a corner of the bitboard ``rows``.
+
+    A corner is a position where the shape fits in the container, covers
+    no occupied cell, and is blocked leftward (x == 0, or an occupied cell
+    just left of it) and downward (y == 0, or one just below it). Such a
+    cell belongs to a box whose edge is the shape's edge, so this is the
+    box-contact test. Only rows in ``ys`` (non-negative, ascending) are
+    tried, reading rows y - 1 to y + eh - 1. Hits are sorted by (y, x).
     """
-    placed = list(boxes.items())
+    if ew > width:
+        return []
+    cols = (1 << (width - ew + 1)) - 1
+    mask = (1 << ew) - 1
     out = []
     for y in ys:
         y2 = y + eh
-        if y2 > c.height:
+        if y2 > len(rows):
             break
-        for x in xs:
-            x2 = x + ew
-            if x2 > c.width:
-                break
-            target = (x, y, x2, y2)
-            left = LEFT_BORDER if x == 0 else None
-            bottom = BOTTOM_BORDER if y == 0 else None
-            for j, box in placed:
-                if boxes_overlap(box, target):
-                    break
-                if bottom is None and box_touches(box, target, False):
-                    bottom = j
-                if left is None and box_touches(box, target, True):
-                    left = j
-            else:
-                if left is not None and bottom is not None:
-                    out.append((x, y, left, bottom))
+        band = 0  # rows y..y2-1 OR-ed: the shape needs its columns clear here
+        for row in rows[y:y2]:
+            band |= row
+        below = rows[y - 1] & ~band if y else -1
+        # Free columns just right of the border or of an occupied cell.
+        xs = cols & ((band << 1) | 1) & ~band if below else 0
+        while xs:
+            low = xs & -xs
+            xs ^= low
+            span = mask * low
+            if not band & span and below & span:
+                x = low.bit_length() - 1
+                out.append((x, y, x + ew, y2))
     return out
+
+
+def _positions(rows: list[int], width: int, shape: RectDims, ys: list[int]) -> list:
+    """Every corner of ``shape`` as ``(box, rotated)``, sorted by (y, x, rotated).
+
+    A square is scanned in one orientation, since rotating it changes nothing.
+    """
+    found = []
+    for rotated in (False,) if shape.is_square else (False, True):
+        ew, eh = (shape.height, shape.width) if rotated else (shape.width, shape.height)
+        found += [(box, rotated) for box in _corner_scan(rows, width, ew, eh, ys)]
+    return sorted(found, key=lambda hit: (hit[0][1], hit[0][0], hit[1]))
+
+
+def _support_names(boxes: dict[int, Box], target: Box) -> tuple[Support, Support]:
+    """The supports of a corner at ``target``: on each side the lowest-indexed
+    box touching it, or the border where none can (at coordinate zero)."""
+    return (
+        next((j for j, b in boxes.items() if box_touches(b, target, True)), LEFT_BORDER),
+        next((j for j, b in boxes.items() if box_touches(b, target, False)), BOTTOM_BORDER),
+    )
+
+
+def _is_corner(boxes: dict[int, Box], c: Container, target: Box) -> bool:
+    """True when ``target`` sits on a corner of ``boxes``; fills only the rows it reads."""
+    x, y, x2, y2 = target
+    if y < 0 or y2 > c.height:
+        return False
+    rows = _rows(boxes.values(), c.height, y - 1, y2)
+    return target in _corner_scan(rows, c.width, x2 - x, y2 - y, [y])
 
 
 def _supports(p: Packing, x: int, y: int, ew: int, eh: int) -> tuple[Support, Support]:
@@ -107,37 +155,25 @@ def _supports(p: Packing, x: int, y: int, ew: int, eh: int) -> tuple[Support, Su
 
     Raises StaleCornerError when (x, y) is not a corner of ``p``.
     """
-    found = _corner_scan(p.boxes(), p.instance.container, ew, eh, [x], [y])
-    if not found:
+    boxes = p.boxes()
+    target = (x, y, x + ew, y + eh)
+    if not _is_corner(boxes, p.instance.container, target):
         raise StaleCornerError(f"position ({x}, {y}) is not a corner")
-    return found[0][2], found[0][3]
+    return _support_names(boxes, target)
 
 
 def enumerate_corners(p: Packing, shape: RectDims) -> list[Corner]:
     """All bottom-left corners of the partial packing ``p`` for ``shape``.
 
-    Candidates are the borders (coordinate 0) and the right/top edges of
-    placed rectangles: with integral geometry, a shape blocked from
-    sliding left or down needs a border or a blocker edge exactly at its
-    own left or bottom edge, so no other coordinate can be a corner. One
-    scan per orientation tests every candidate and names its supports.
-    Both orientations are scanned unless the shape is square, for which
-    the rotated placement would duplicate the unrotated one. The result is
-    sorted by (y, x, rotated) with duplicates impossible by construction.
+    Sorted by (y, x, rotated), with duplicates impossible by construction.
     """
     boxes = p.boxes()
-    xs = sorted({0, *(b[2] for b in boxes.values())})
-    ys = sorted({0, *(b[3] for b in boxes.values())})
     c = p.instance.container
-    found = []
-    orientations = (False,) if shape.is_square else (False, True)
-    for rotated in orientations:
-        ew = shape.height if rotated else shape.width
-        eh = shape.width if rotated else shape.height
-        for x, y, left, bottom in _corner_scan(boxes, c, ew, eh, xs, ys):
-            found.append(Corner(x, y, rotated, left, bottom))
-    found.sort(key=lambda corner: (corner.y, corner.x, corner.rotated))
-    return found
+    rows = _rows(boxes.values(), c.height, 0, c.height)
+    return [
+        Corner(box[0], box[1], rotated, *_support_names(boxes, box))
+        for box, rotated in _positions(rows, c.width, shape, _floors(rows, boxes.values()))
+    ]
 
 
 def _check_action(p: Packing, a: CornerAction) -> None:
@@ -149,13 +185,12 @@ def _check_action(p: Packing, a: CornerAction) -> None:
         raise StaleCornerError(f"rectangle {i} is already placed")
     corner = a.corner
     shape = p.instance.rects[i]
-    ew = shape.height if corner.rotated else shape.width
-    eh = shape.width if corner.rotated else shape.height
+    ew, eh = (shape.height, shape.width) if corner.rotated else (shape.width, shape.height)
     x, y = corner.x, corner.y
     boxes = p.boxes()
-    if not _corner_scan(boxes, p.instance.container, ew, eh, [x], [y]):
-        raise StaleCornerError(f"({x}, {y}) is not a corner for rectangle {i}")
     target = (x, y, x + ew, y + eh)
+    if not _is_corner(boxes, p.instance.container, target):
+        raise StaleCornerError(f"({x}, {y}) is not a corner for rectangle {i}")
     for side, support, border, at_zero in (
         ("left", corner.left_support, LEFT_BORDER, x == 0),
         ("bottom", corner.bottom_support, BOTTOM_BORDER, y == 0),
@@ -193,3 +228,54 @@ def supporting_rects(p: Packing, i: int) -> set[int]:
         for j, box in p.boxes().items()
         if j != i and (box_touches(box, target, True) or box_touches(box, target, False))
     }
+
+
+class _Board:
+    """The exact search's one mutable state.
+
+    Bit x of ``rows[y]`` is set when cell (x, y) is covered; ``boxes[i]``
+    is rectangle i's box, None while unplaced. Rectangles of one shape up
+    to rotation form a class, and ``cursor[k]`` counts the placed members
+    of class k: the search only places a class's lowest unplaced member,
+    so the count points at the next one. :meth:`place` (onto free cells)
+    and :meth:`unplace` are exact inverses.
+    """
+
+    def __init__(self, instance: Instance) -> None:
+        self.width, self.rects = instance.container.width, instance.rects
+        self.rows = [0] * instance.container.height
+        self.boxes: list[Box | None] = [None] * instance.n
+        classes: dict[tuple[int, int], list[int]] = {}
+        for i, shape in enumerate(instance.rects):
+            classes.setdefault(shape.canonical(), []).append(i)
+        self.members = list(classes.values())
+        self.shape_class = {i: k for k, members in enumerate(self.members) for i in members}
+        self.cursor = [0] * len(self.members)
+
+    def _flip(self, i: int, box: Box, step: int) -> None:
+        x1, y1, x2, y2 = box
+        bits = ((1 << (x2 - x1)) - 1) << x1
+        for y in range(y1, y2):
+            self.rows[y] ^= bits
+        self.cursor[self.shape_class[i]] += step
+
+    def place(self, i: int, box: Box) -> None:
+        self._flip(i, box, 1)
+        self.boxes[i] = box
+
+    def unplace(self, i: int) -> None:
+        self._flip(i, self.boxes[i], -1)
+        self.boxes[i] = None
+
+    def moves(self, key) -> Iterator[tuple[int, Box, bool]]:
+        """The corner placements ``(i, box, rotated)`` out of the current state, lazily.
+
+        Each class's next member, in ``key`` order, goes onto each of its
+        corners in (y, x, rotated) order; permuting identical shapes never
+        gives a new packing. Resume only in the state the iterator began in.
+        """
+        ys = _floors(self.rows, self.boxes)
+        nexts = [m[k] for m, k in zip(self.members, self.cursor) if k < len(m)]
+        for i in sorted(nexts, key=key):
+            for box, rotated in _positions(self.rows, self.width, self.rects[i], ys):
+                yield i, box, rotated

@@ -22,18 +22,24 @@ def _split(x: int, y: int, w: int, h: int, k: int, rng: random.Random, out: list
         return
     # Every (axis, cut, k1) with both sides able to host their share of
     # leaves; non-empty whenever k <= w*h, since area splits additively.
-    options = []
-    for cx in range(1, w):
-        lo = max(1, k - (w - cx) * h)
-        hi = min(k - 1, cx * h)
-        for k1 in range(lo, hi + 1):
-            options.append(("v", cx, k1))
-    for cy in range(1, h):
-        lo = max(1, k - w * (h - cy))
-        hi = min(k - 1, w * cy)
-        for k1 in range(lo, hi + 1):
-            options.append(("h", cy, k1))
-    axis, cut, k1 = rng.choice(options)
+    # The options are counted per cut, not listed, and one is drawn by
+    # its rank in (axis, cut, k1) order: randrange(total) draws exactly as
+    # choice() would on the list.
+    ranges = []
+    total = 0
+    for axis, side, other in (("v", w, h), ("h", h, w)):
+        for cut in range(1, side):
+            lo = max(1, k - (side - cut) * other)
+            size = min(k - 1, cut * other) - lo + 1
+            if size > 0:
+                ranges.append((axis, cut, lo, size))
+                total += size
+    rank = rng.randrange(total)
+    for axis, cut, lo, size in ranges:
+        if rank < size:
+            k1 = lo + rank
+            break
+        rank -= size
     if axis == "v":
         _split(x, y, cut, h, k1, rng, out)
         _split(x + cut, y, w - cut, h, k - k1, rng, out)

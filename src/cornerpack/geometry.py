@@ -190,6 +190,9 @@ class Packing:
         return [i for i, pl in enumerate(self.placements) if pl is None]
 
     def placed_rect(self, i: int) -> PlacedRect:
+        """Rectangle ``i`` with its placement; IndexError unless 0 <= i < n."""
+        if i < 0:
+            raise IndexError(f"rectangle index {i} out of range")
         pl = self.placements[i]
         if pl is None:
             raise ValueError(f"rectangle {i} is not placed")

@@ -5,6 +5,12 @@ unplaced rectangle onto one of its bottom-left corners. Restricting moves
 to corners loses nothing, because any stable feasible packing can be
 rebuilt as a sequence of corner placements, and compaction turns any
 feasible packing into a stable one.
+
+The search runs on an explicit stack over one mutable board of row
+bitboards (:class:`corners._Board`). Each node scans its corners once; a
+child is placed on the board and later taken off, never re-validated.
+Frozen packings and validated actions stay at the API boundary: the
+result packing is built once, from the path that reached it.
 """
 
 from __future__ import annotations
@@ -13,8 +19,11 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 
-from .corners import CornerAction, apply_action, enumerate_corners
-from .geometry import Instance, Packing, box_over, box_right_of, is_feasible
+from .corners import _Board
+# Unused here: the benchmark's tracer patches these two names on this
+# module until its solver patch points become optional (ROADMAP item 1).
+from .corners import apply_action, enumerate_corners  # noqa: F401
+from .geometry import Box, Instance, Packing, Placement, box_over, box_right_of, is_feasible
 from .stability import is_bottom_left_stable
 
 RECT_ORDERS = ("input", "area", "perimeter")
@@ -40,7 +49,10 @@ class SolverConfig:
     same verdict. The search stops at its first solution, though, so on a
     feasible instance the pruned search can expand more nodes than the
     plain one, which may find a packing inside a pruned subtree. Limits,
-    when hit, yield status UNKNOWN.
+    when hit, yield status UNKNOWN. Whatever the knobs, the search runs on
+    one board with an explicit stack, so Python's recursion limit does not
+    bound its depth, and it validates nothing per child: validation stays
+    at the API boundary.
     """
 
     enhanced_pruning: bool = True
@@ -79,10 +91,6 @@ class SolveResult:
             raise ValueError("a packing is present exactly on FEASIBLE results")
 
 
-class _LimitHit(Exception):
-    """Internal: unwind the search when a node or time limit fires."""
-
-
 def quick_reject(instance: Instance) -> str | None:
     """Cheap certificates of infeasibility, or None.
 
@@ -110,12 +118,28 @@ def _order_key(config: SolverConfig, instance: Instance):
     return lambda i: i
 
 
-def _dominated(p: Packing, i: int) -> bool:
-    """True when some other placed rectangle is over or right of rect ``i``."""
-    new = p.placed_rect(i).box
-    return any(
-        j != i and (box_over(box, new) or box_right_of(box, new)) for j, box in p.boxes().items()
-    )
+def _dominated(boxes: list[Box | None], new: Box) -> bool:
+    """True when some placed box is over or right of the box ``new``."""
+    return any(b is not None and (box_over(b, new) or box_right_of(b, new)) for b in boxes)
+
+
+def _advance(board: _Board, frames: list, path: list, enhanced: bool) -> bool:
+    """Place the next unpruned child in depth-first order; False once the root is exhausted.
+
+    ``frames`` holds one move iterator per node on ``path``; an exhausted
+    node is popped and the move that reached it is taken off the board.
+    """
+    while frames:
+        for i, box, rotated in frames[-1]:
+            if enhanced and _dominated(board.boxes, box):
+                continue
+            board.place(i, box)
+            path.append((i, box, rotated))
+            return True
+        frames.pop()
+        if path:
+            board.unplace(path.pop()[0])
+    return False
 
 
 def solve(instance: Instance, config: SolverConfig | None = None) -> SolveResult:
@@ -131,51 +155,39 @@ def solve(instance: Instance, config: SolverConfig | None = None) -> SolveResult
     start = time.perf_counter()
     nodes = 0
     max_depth = 0
-    shapes = instance.rects
-    key = _order_key(config, instance)
 
     if quick_reject(instance) is not None:
         return SolveResult(
             SolveStatus.INFEASIBLE, None, SolveStats(0, 0, time.perf_counter() - start)
         )
 
-    def dfs(p: Packing, depth: int) -> Packing | None:
-        nonlocal nodes, max_depth
-        if config.node_limit is not None and nodes >= config.node_limit:
-            raise _LimitHit
-        if config.time_limit is not None and time.perf_counter() - start > config.time_limit:
-            raise _LimitHit
+    key = _order_key(config, instance)
+    board = _Board(instance)
+    path: list[tuple[int, Box, bool]] = []  # (i, box, rotated) from the root down
+    frames: list = []
+    while True:
+        # Node entry: the board holds the node's packing, at depth len(path).
+        if (config.node_limit is not None and nodes >= config.node_limit) or (
+            config.time_limit is not None and time.perf_counter() - start > config.time_limit
+        ):
+            status = SolveStatus.UNKNOWN
+            break
         nodes += 1
-        max_depth = max(max_depth, depth)
-        if p.is_complete:
-            return p
-        unplaced = p.unplaced_indices()
-        # Among identical shapes (up to rotation) only the lowest unplaced
-        # index branches; permuting equals never produces a new packing.
-        firsts = {}
-        for i in unplaced:
-            firsts.setdefault(shapes[i].canonical(), i)
-        candidates = sorted(firsts.values(), key=key)
-        for i in candidates:
-            for corner in enumerate_corners(p, shapes[i]):
-                child = apply_action(p, CornerAction(i, corner))
-                if config.enhanced_pruning and _dominated(child, i):
-                    continue
-                found = dfs(child, depth + 1)
-                if found is not None:
-                    return found
-        return None
-
-    try:
-        packing = dfs(Packing.empty(instance), 0)
-    except _LimitHit:
-        return SolveResult(
-            SolveStatus.UNKNOWN, None, SolveStats(nodes, max_depth, time.perf_counter() - start)
-        )
-    elapsed = time.perf_counter() - start
-    if packing is None:
-        return SolveResult(SolveStatus.INFEASIBLE, None, SolveStats(nodes, max_depth, elapsed))
-    return SolveResult(SolveStatus.FEASIBLE, packing, SolveStats(nodes, max_depth, elapsed))
+        max_depth = max(max_depth, len(path))
+        if len(path) == instance.n:
+            status = SolveStatus.FEASIBLE
+            break
+        frames.append(board.moves(key))
+        if not _advance(board, frames, path, config.enhanced_pruning):
+            status = SolveStatus.INFEASIBLE
+            break
+    stats = SolveStats(nodes, max_depth, time.perf_counter() - start)
+    if status is not SolveStatus.FEASIBLE:
+        return SolveResult(status, None, stats)
+    placements: list[Placement | None] = [None] * instance.n
+    for i, box, rotated in path:
+        placements[i] = Placement(box[0], box[1], rotated)
+    return SolveResult(status, Packing(instance, tuple(placements)), stats)
 
 
 def certify(instance: Instance, result: SolveResult) -> bool:

@@ -41,6 +41,7 @@ from cornerpack import (
     find_escaper,
     find_escaper3,
     free_directions,
+    guillotine_layout,
     is_bottom_left_stable,
     is_feasible,
     is_feasible3,
@@ -297,6 +298,88 @@ def corner_tree_size(instance: Instance, enhanced: bool) -> int:
         return total
 
     return size(Packing.empty(instance))
+
+
+def reference_solve(instance: Instance, config: SolverConfig):
+    """First-solution corner search through the public API only.
+
+    Returns ``(status, nodes, max_depth, packing)`` as ``solve`` should:
+    the node limit is checked on entering a node, only the lowest
+    unplaced index of each shape branches, candidates come in
+    ``rect_order`` (ties by index) and corners in ``enumerate_corners``
+    order, and an enhanced child is dropped when a placed rectangle lies
+    over or right of the new one.
+    """
+    if quick_reject(instance) is not None:
+        return SolveStatus.INFEASIBLE, 0, 0, None
+    shapes = instance.rects
+    key = {
+        "input": lambda i: i,
+        "area": lambda i: (-shapes[i].area, i),
+        "perimeter": lambda i: (-shapes[i].perimeter, i),
+    }[config.rect_order]
+    nodes = max_depth = 0
+
+    class LimitHit(Exception):
+        pass
+
+    def search(p: Packing, depth: int) -> Packing | None:
+        nonlocal nodes, max_depth
+        if config.node_limit is not None and nodes >= config.node_limit:
+            raise LimitHit
+        nodes += 1
+        max_depth = max(max_depth, depth)
+        if p.is_complete:
+            return p
+        firsts = {}
+        for i in p.unplaced_indices():
+            firsts.setdefault(shapes[i].canonical(), i)
+        for i in sorted(firsts.values(), key=key):
+            for corner in enumerate_corners(p, shapes[i]):
+                child = apply_action(p, CornerAction(i, corner))
+                new = child.placed_rect(i)
+                if config.enhanced_pruning and any(
+                    j != i and (is_over(other, new) or is_right_of(other, new))
+                    for j, other in child.iter_placed()
+                ):
+                    continue
+                found = search(child, depth + 1)
+                if found is not None:
+                    return found
+        return None
+
+    try:
+        packing = search(Packing.empty(instance), 0)
+    except LimitHit:
+        return SolveStatus.UNKNOWN, nodes, max_depth, None
+    status = SolveStatus.INFEASIBLE if packing is None else SolveStatus.FEASIBLE
+    return status, nodes, max_depth, packing
+
+
+def test_solve_walks_the_reference_search_on_budgeted_tilings():
+    # Criterion 7 ties exhausted searches to the public-API tree; this
+    # pins the order of the walk too, so first-solution paths and
+    # budget cut-offs must match node for node.
+    rng = random.Random(7007)
+    instances = [
+        guillotine_layout(Container(w, h), n, rng).instance
+        for w, h, n in [(12, 8, 7), (16, 16, 10)] * 30
+    ]
+    statuses = set()
+    for instance in instances:
+        for order in ("input", "area", "perimeter"):
+            for enhanced in (True, False):
+                config = SolverConfig(enhanced_pruning=enhanced, node_limit=20, rect_order=order)
+                result = solve(instance, config)
+                got = (
+                    result.status,
+                    result.stats.nodes_expanded,
+                    result.stats.max_depth,
+                    result.packing,
+                )
+                assert got == reference_solve(instance, config), (instance, order, enhanced)
+                statuses.add(result.status)
+    assert statuses == {SolveStatus.FEASIBLE, SolveStatus.UNKNOWN}
 
 
 def test_criterion_7_pruning_node_counts(completeness_suite, capsys):

@@ -20,6 +20,7 @@ from cornerpack import (
     oracle_corners,
     supporting_rects,
 )
+from cornerpack.corners import _Board, _floors, _positions, _rows
 
 
 def test_empty_container_offers_origin_in_both_orientations():
@@ -191,3 +192,38 @@ def test_corner_set_shrinks_consistently_as_prefix_grows():
         q = apply_action(p, CornerAction(i, chosen))
         after = {(c.x, c.y, c.rotated) for c in enumerate_corners(q, shape)}
         assert (chosen.x, chosen.y, chosen.rotated) not in after
+
+
+def test_board_place_and_unplace_are_inverses_and_match_enumeration():
+    # Place a random partial packing's rectangles one by one in random
+    # order, then take them off in reverse. At every step the board's rows
+    # are those of the equivalent Packing, its corners for a random shape
+    # are enumerate_corners' in the same order, and each unplace restores
+    # rows, boxes and class cursors exactly.
+    rng = random.Random(9091)
+    for _ in range(300):
+        p = random_partial_packing(rng)
+        c = p.instance.container
+        board = _Board(p.instance)
+        order = p.placed_indices()
+        rng.shuffle(order)
+        current = Packing.empty(p.instance)
+        saved = []
+        for step in range(len(order) + 1):
+            assert board.rows == _rows(current.boxes().values(), c.height, 0, c.height)
+            assert board.boxes == [current.boxes().get(i) for i in range(p.instance.n)]
+            shape = random_shape(rng, 4, 4)
+            on_board = _positions(board.rows, c.width, shape, _floors(board.rows, board.boxes))
+            assert [(box[0], box[1], rotated) for box, rotated in on_board] == [
+                corner.position for corner in enumerate_corners(current, shape)
+            ]
+            if step == len(order):
+                break
+            i = order[step]
+            saved.append((list(board.rows), list(board.boxes), list(board.cursor)))
+            board.place(i, p.placed_rect(i).box)
+            current = current.with_placement(i, p.placements[i])
+        for i in reversed(order):
+            board.unplace(i)
+            assert (board.rows, board.boxes, board.cursor) == saved.pop()
+        assert not any(board.rows) and not any(board.cursor)

@@ -9,6 +9,7 @@ from cornerpack import (
     is_bottom_left_stable,
     is_feasible,
 )
+from cornerpack import generate
 
 
 def test_guillotine_count_zero_gives_empty_packing():
@@ -87,3 +88,46 @@ def test_corner_walk_is_deterministic_per_seed():
     a = corner_walk_packing(Container(9, 9), 6, random.Random(42))
     b = corner_walk_packing(Container(9, 9), 6, random.Random(42))
     assert a == b
+
+
+def _listed_split(x, y, w, h, k, rng, out):
+    """Reference cut rule: list every (axis, cut, k1) and let choice() pick."""
+    if k == 1:
+        out.append((x, y, w, h))
+        return
+    options = []
+    for cx in range(1, w):
+        for k1 in range(max(1, k - (w - cx) * h), min(k - 1, cx * h) + 1):
+            options.append(("v", cx, k1))
+    for cy in range(1, h):
+        for k1 in range(max(1, k - w * (h - cy)), min(k - 1, w * cy) + 1):
+            options.append(("h", cy, k1))
+    axis, cut, k1 = rng.choice(options)
+    if axis == "v":
+        _listed_split(x, y, cut, h, k1, rng, out)
+        _listed_split(x + cut, y, w - cut, h, k - k1, rng, out)
+    else:
+        _listed_split(x, y, w, cut, k1, rng, out)
+        _listed_split(x, y + cut, w, h - cut, k - k1, rng, out)
+
+
+def test_guillotine_layout_matches_the_listed_cut_rule(monkeypatch):
+    # The counted draw must pick the same cut and consume the same random
+    # bits as choice() over the full option list, so every seeded layout
+    # stays byte-identical. The benchmark's tiling and explain sizes come
+    # first, then random sizes.
+    rng = random.Random(5150)
+    sizes = [(12, 8, 7), (16, 16, 10), (20, 20, 14), (24, 24, 18)]
+    sizes += [(10, 10, 30), (14, 14, 60), (20, 20, 120)]
+    while len(sizes) < 300:
+        w, h = rng.randint(1, 24), rng.randint(1, 24)
+        sizes.append((w, h, rng.randint(1, min(40, w * h))))
+    for seed, (w, h, count) in enumerate(sizes):
+        counted = random.Random(seed)
+        fast = guillotine_layout(Container(w, h), count, counted)
+        listed = random.Random(seed)
+        with monkeypatch.context() as m:
+            m.setattr(generate, "_split", _listed_split)
+            reference = guillotine_layout(Container(w, h), count, listed)
+        assert fast == reference, (w, h, count, seed)
+        assert counted.getstate() == listed.getstate()

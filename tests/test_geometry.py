@@ -20,8 +20,11 @@ from cornerpack import (
     is_over,
     is_right_of,
     l_value,
+    max_down_slide,
+    max_left_slide,
     outside_area,
     overlap_area,
+    supporting_rects,
     total_overlap,
 )
 from cornerpack.geometry import box_over, box_right_of, box_touches, boxes_overlap
@@ -286,6 +289,25 @@ def test_free_directions_rejects_overlap_whatever_the_index(overlapping_index):
     p = make_packing(6, 6, (2, 2, 0, 0), *others)
     with pytest.raises(ValueError):
         free_directions(0, p)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda i, p: max_down_slide(i, p),
+        lambda i, p: max_left_slide(i, p),
+        lambda i, p: supporting_rects(p, i),
+        lambda i, p: free_directions(i, p),
+    ],
+    ids=["max_down_slide", "max_left_slide", "supporting_rects", "free_directions"],
+)
+@pytest.mark.parametrize("i", [-1, -2, 2])
+def test_out_of_range_index_raises_index_error(call, i):
+    # Rect 1 floats one unit above the floor, so a -1 wrapped around to it
+    # would get a down slide of 1 instead of an error.
+    p = make_packing(4, 4, (1, 1, 0, 0), (1, 1, 2, 1))
+    with pytest.raises(IndexError):
+        call(i, p)
 
 
 # --- l_value ---

@@ -178,3 +178,13 @@ def test_rotated_duplicates_also_collapse():
     b = solve(inst(6, 6, (2, 3), (2, 3)))
     assert a.status is SolveStatus.FEASIBLE
     assert a.stats.nodes_expanded == b.stats.nodes_expanded
+
+
+def test_deep_search_does_not_hit_the_recursion_limit():
+    # One node per placed rectangle on the path: 1,000 levels, far past
+    # Python's default recursion limit.
+    instance = inst(1100, 1, *[(1, 1)] * 1000)
+    result = solve(instance)
+    assert result.status is SolveStatus.FEASIBLE
+    assert result.stats.max_depth == 1000
+    assert certify(instance, result)
