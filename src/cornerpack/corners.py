@@ -5,17 +5,20 @@ orientation at which the shape fits inside the container, overlaps
 nothing, and is bottom-left stable the moment it is placed. Placing a
 rectangle onto such a corner is the only move the exact solver performs.
 
-One bitboard scan, :func:`_corner_scan`, decides that test. The search
-runs it on its mutable :class:`_Board`; enumeration and action validation
-run it on rows built from a :class:`Packing` and then name the supports
-from the boxes.
+One bitboard scan, :func:`_corner_scan`, decides that test, on the grid
+of the placed boxes' distinct edges (:func:`_grid`), so its cost follows
+the number of rectangles, not the container's size. The search builds
+that grid once per node from its mutable :class:`_Board`; enumeration
+and action validation build it from a :class:`Packing` and then name the
+supports from the boxes.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .geometry import Box, Container, Instance, Packing, Placement, RectDims, box_touches
 
@@ -32,6 +35,9 @@ BOTTOM_BORDER = Border.BOTTOM
 
 # A corner support is either the index of a placed rectangle or a border.
 Support = int | Border
+
+# Edge coordinates ``xs`` and ``ys`` and one occupancy int per row; see _grid.
+Grid = tuple[list[int], list[int], list[int]]
 
 
 class StaleCornerError(ValueError):
@@ -66,61 +72,61 @@ class CornerAction:
     corner: Corner
 
 
-def _rows(boxes: Iterable[Box], height: int, lo: int, hi: int) -> list[int]:
-    """The occupancy bitboard of ``boxes``: bit x of ``rows[y]`` is set when
-    a box covers cell (x, y). Only rows ``lo <= y < hi <= height`` are filled."""
-    rows = [0] * height
+def _grid(boxes: list[Box], width: int, height: int) -> Grid:
+    """The occupancy of ``boxes`` on the grid of their distinct edges.
+
+    ``xs``/``ys`` are the sorted edge coordinates, the container's included;
+    grid cell (j, k) spans [xs[j], xs[j+1]) x [ys[k], ys[k+1]), and bit j of
+    ``rows[k]`` is set when a box covers it. No box edge crosses a cell, so
+    the grid answers every cell question exactly, with its size bounded by
+    the number of boxes rather than by the container's sides.
+    """
+    xs = sorted({0, width, *(b[0] for b in boxes), *(b[2] for b in boxes)})
+    ys = sorted({0, height, *(b[1] for b in boxes), *(b[3] for b in boxes)})
+    rows = [0] * (len(ys) - 1)
     for x1, y1, x2, y2 in boxes:
-        if y1 < hi and y2 > lo:
-            bits = ((1 << (x2 - x1)) - 1) << x1
-            for y in range(max(y1, lo), min(y2, hi)):
-                rows[y] |= bits
-    return rows
+        bits = (1 << bisect_left(xs, x2)) - (1 << bisect_left(xs, x1))
+        for k in range(bisect_left(ys, y1), bisect_left(ys, y2)):
+            rows[k] |= bits
+    return xs, ys, rows
 
 
-def _floors(rows: list[int], boxes: Iterable[Box | None]) -> list[int]:
-    """The rows a shape can rest on, ascending: 0, and each box top edge y
-    at which row y - 1 covers a cell that row y leaves free."""
-    tops = sorted({b[3] for b in boxes if b is not None and b[3] < len(rows)})
-    return [0] + [y for y in tops if rows[y - 1] & ~rows[y]]
-
-
-def _corner_scan(rows: list[int], width: int, ew: int, eh: int, ys: list[int]) -> list[Box]:
-    """The boxes at which an ew x eh shape sits on a corner of the bitboard ``rows``.
+def _corner_scan(grid: Grid, c: Container, ew: int, eh: int) -> list[Box]:
+    """The boxes at which an ew x eh shape sits on a corner of ``grid``.
 
     A corner is a position where the shape fits in the container, covers
     no occupied cell, and is blocked leftward (x == 0, or an occupied cell
     just left of it) and downward (y == 0, or one just below it). Such a
     cell belongs to a box whose edge is the shape's edge, so this is the
-    box-contact test. Only rows in ``ys`` (non-negative, ascending) are
-    tried, reading rows y - 1 to y + eh - 1. Hits are sorted by (y, x).
+    box-contact test. Hits are sorted by (y, x).
     """
-    if ew > width:
-        return []
-    cols = (1 << (width - ew + 1)) - 1
-    mask = (1 << ew) - 1
+    xs, ys, rows = grid
     out = []
-    for y in ys:
+    for k, y in enumerate(ys):
         y2 = y + eh
-        if y2 > len(rows):
+        if y2 > c.height:
             break
-        band = 0  # rows y..y2-1 OR-ed: the shape needs its columns clear here
-        for row in rows[y:y2]:
+        if k and not rows[k - 1] & ~rows[k]:
+            continue  # no covered cell under a free one: nothing to rest on
+        band = 0  # the grid rows the shape spans, OR-ed: its cells must be clear here
+        for row in rows[k : bisect_left(ys, y2)]:
             band |= row
-        below = rows[y - 1] & ~band if y else -1
-        # Free columns just right of the border or of an occupied cell.
-        xs = cols & ((band << 1) | 1) & ~band if below else 0
-        while xs:
-            low = xs & -xs
-            xs ^= low
-            span = mask * low
+        below = rows[k - 1] & ~band if k else -1
+        # Free cells just right of the border or of an occupied cell.
+        starts = ((band << 1) | 1) & ~band if below else 0
+        while starts:
+            low = starts & -starts
+            starts ^= low
+            x = xs[low.bit_length() - 1]
+            if x + ew > c.width:
+                break
+            span = (1 << bisect_left(xs, x + ew)) - low
             if not band & span and below & span:
-                x = low.bit_length() - 1
                 out.append((x, y, x + ew, y2))
     return out
 
 
-def _positions(rows: list[int], width: int, shape: RectDims, ys: list[int]) -> list:
+def _positions(grid: Grid, c: Container, shape: RectDims) -> list[tuple[Box, bool]]:
     """Every corner of ``shape`` as ``(box, rotated)``, sorted by (y, x, rotated).
 
     A square is scanned in one orientation, since rotating it changes nothing.
@@ -128,7 +134,7 @@ def _positions(rows: list[int], width: int, shape: RectDims, ys: list[int]) -> l
     found = []
     for rotated in (False,) if shape.is_square else (False, True):
         ew, eh = (shape.height, shape.width) if rotated else (shape.width, shape.height)
-        found += [(box, rotated) for box in _corner_scan(rows, width, ew, eh, ys)]
+        found += [(box, rotated) for box in _corner_scan(grid, c, ew, eh)]
     return sorted(found, key=lambda hit: (hit[0][1], hit[0][0], hit[1]))
 
 
@@ -141,13 +147,13 @@ def _support_names(boxes: dict[int, Box], target: Box) -> tuple[Support, Support
     )
 
 
-def _is_corner(boxes: dict[int, Box], c: Container, target: Box) -> bool:
-    """True when ``target`` sits on a corner of ``boxes``; fills only the rows it reads."""
+def _corner_blockers(boxes: dict[int, Box], c: Container, target: Box) -> dict[int, Box] | None:
+    """The boxes that can overlap or block ``target`` (those meeting it grown
+    by one cell leftward and downward) when it sits on a corner, else None."""
     x, y, x2, y2 = target
-    if y < 0 or y2 > c.height:
-        return False
-    rows = _rows(boxes.values(), c.height, y - 1, y2)
-    return target in _corner_scan(rows, c.width, x2 - x, y2 - y, [y])
+    near = {j: b for j, b in boxes.items() if b[0] < x2 and b[2] >= x and b[1] < y2 and b[3] >= y}
+    grid = _grid(list(near.values()), c.width, c.height)
+    return near if target in _corner_scan(grid, c, x2 - x, y2 - y) else None
 
 
 def _supports(p: Packing, x: int, y: int, ew: int, eh: int) -> tuple[Support, Support]:
@@ -155,11 +161,11 @@ def _supports(p: Packing, x: int, y: int, ew: int, eh: int) -> tuple[Support, Su
 
     Raises StaleCornerError when (x, y) is not a corner of ``p``.
     """
-    boxes = p.boxes()
     target = (x, y, x + ew, y + eh)
-    if not _is_corner(boxes, p.instance.container, target):
+    near = _corner_blockers(p.boxes(), p.instance.container, target)
+    if near is None:
         raise StaleCornerError(f"position ({x}, {y}) is not a corner")
-    return _support_names(boxes, target)
+    return _support_names(near, target)
 
 
 def enumerate_corners(p: Packing, shape: RectDims) -> list[Corner]:
@@ -169,10 +175,10 @@ def enumerate_corners(p: Packing, shape: RectDims) -> list[Corner]:
     """
     boxes = p.boxes()
     c = p.instance.container
-    rows = _rows(boxes.values(), c.height, 0, c.height)
+    grid = _grid(list(boxes.values()), c.width, c.height)
     return [
-        Corner(box[0], box[1], rotated, *_support_names(boxes, box))
-        for box, rotated in _positions(rows, c.width, shape, _floors(rows, boxes.values()))
+        Corner(b[0], b[1], rotated, *_support_names(boxes, b))
+        for b, rotated in _positions(grid, c, shape)
     ]
 
 
@@ -189,7 +195,7 @@ def _check_action(p: Packing, a: CornerAction) -> None:
     x, y = corner.x, corner.y
     boxes = p.boxes()
     target = (x, y, x + ew, y + eh)
-    if not _is_corner(boxes, p.instance.container, target):
+    if _corner_blockers(boxes, p.instance.container, target) is None:
         raise StaleCornerError(f"({x}, {y}) is not a corner for rectangle {i}")
     for side, support, border, at_zero in (
         ("left", corner.left_support, LEFT_BORDER, x == 0),
@@ -233,49 +239,40 @@ def supporting_rects(p: Packing, i: int) -> set[int]:
 class _Board:
     """The exact search's one mutable state.
 
-    Bit x of ``rows[y]`` is set when cell (x, y) is covered; ``boxes[i]``
-    is rectangle i's box, None while unplaced. Rectangles of one shape up
-    to rotation form a class, and ``cursor[k]`` counts the placed members
-    of class k: the search only places a class's lowest unplaced member,
-    so the count points at the next one. :meth:`place` (onto free cells)
-    and :meth:`unplace` are exact inverses.
+    ``boxes[i]`` is rectangle i's box, None while unplaced. Rectangles of one
+    shape up to rotation form a class, ``members[shape]`` in index order, and
+    ``cursor[shape]`` counts its placed members: the search only places a
+    class's lowest unplaced member, so the count points at the next one.
+    :meth:`place` and :meth:`unplace` are exact inverses.
     """
 
     def __init__(self, instance: Instance) -> None:
-        self.width, self.rects = instance.container.width, instance.rects
-        self.rows = [0] * instance.container.height
+        self.container, self.rects = instance.container, instance.rects
         self.boxes: list[Box | None] = [None] * instance.n
-        classes: dict[tuple[int, int], list[int]] = {}
-        for i, shape in enumerate(instance.rects):
-            classes.setdefault(shape.canonical(), []).append(i)
-        self.members = list(classes.values())
-        self.shape_class = {i: k for k, members in enumerate(self.members) for i in members}
-        self.cursor = [0] * len(self.members)
-
-    def _flip(self, i: int, box: Box, step: int) -> None:
-        x1, y1, x2, y2 = box
-        bits = ((1 << (x2 - x1)) - 1) << x1
-        for y in range(y1, y2):
-            self.rows[y] ^= bits
-        self.cursor[self.shape_class[i]] += step
+        self.members: dict[tuple[int, int], list[int]] = {}
+        for i, r in enumerate(instance.rects):
+            self.members.setdefault(r.canonical(), []).append(i)
+        self.cursor = dict.fromkeys(self.members, 0)
 
     def place(self, i: int, box: Box) -> None:
-        self._flip(i, box, 1)
         self.boxes[i] = box
+        self.cursor[self.rects[i].canonical()] += 1
 
     def unplace(self, i: int) -> None:
-        self._flip(i, self.boxes[i], -1)
         self.boxes[i] = None
+        self.cursor[self.rects[i].canonical()] -= 1
 
     def moves(self, key) -> Iterator[tuple[int, Box, bool]]:
         """The corner placements ``(i, box, rotated)`` out of the current state, lazily.
 
-        Each class's next member, in ``key`` order, goes onto each of its
-        corners in (y, x, rotated) order; permuting identical shapes never
-        gives a new packing. Resume only in the state the iterator began in.
+        The grid of the placed boxes is built once. Each class's next
+        member, in ``key`` order, goes onto each of its corners in
+        (y, x, rotated) order; permuting identical shapes never gives a
+        new packing. Resume only in the state the iterator began in.
         """
-        ys = _floors(self.rows, self.boxes)
-        nexts = [m[k] for m, k in zip(self.members, self.cursor) if k < len(m)]
+        c = self.container
+        grid = _grid([b for b in self.boxes if b is not None], c.width, c.height)
+        nexts = [m[k] for m, k in zip(self.members.values(), self.cursor.values()) if k < len(m)]
         for i in sorted(nexts, key=key):
-            for box, rotated in _positions(self.rows, self.width, self.rects[i], ys):
+            for box, rotated in _positions(grid, c, self.rects[i]):
                 yield i, box, rotated

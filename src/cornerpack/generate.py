@@ -22,24 +22,20 @@ def _split(x: int, y: int, w: int, h: int, k: int, rng: random.Random, out: list
         return
     # Every (axis, cut, k1) with both sides able to host their share of
     # leaves; non-empty whenever k <= w*h, since area splits additively.
-    # The options are counted per cut, not listed, and one is drawn by
-    # its rank in (axis, cut, k1) order: randrange(total) draws exactly as
-    # choice() would on the list.
+    # They are counted per cut, not listed: randrange(total) draws the rank
+    # in (axis, cut, k1) order that choice() would draw on the list.
     ranges = []
-    total = 0
     for axis, side, other in (("v", w, h), ("h", h, w)):
         for cut in range(1, side):
             lo = max(1, k - (side - cut) * other)
-            size = min(k - 1, cut * other) - lo + 1
-            if size > 0:
+            if (size := min(k - 1, cut * other) - lo + 1) > 0:
                 ranges.append((axis, cut, lo, size))
-                total += size
-    rank = rng.randrange(total)
+    rank = rng.randrange(sum(r[3] for r in ranges))
     for axis, cut, lo, size in ranges:
         if rank < size:
-            k1 = lo + rank
             break
         rank -= size
+    k1 = lo + rank
     if axis == "v":
         _split(x, y, cut, h, k1, rng, out)
         _split(x + cut, y, w - cut, h, k - k1, rng, out)

@@ -6,11 +6,12 @@ to corners loses nothing, because any stable feasible packing can be
 rebuilt as a sequence of corner placements, and compaction turns any
 feasible packing into a stable one.
 
-The search runs on an explicit stack over one mutable board of row
-bitboards (:class:`corners._Board`). Each node scans its corners once; a
-child is placed on the board and later taken off, never re-validated.
-Frozen packings and validated actions stay at the API boundary: the
-result packing is built once, from the path that reached it.
+The search runs on an explicit stack, so Python's recursion limit does
+not bound its depth, over one mutable board (:class:`corners._Board`).
+Each node scans its corners once, on a bitboard of the placed boxes'
+distinct edges; a child is placed on the board and later taken off,
+never re-validated. Frozen packings and validated actions stay at the
+API boundary: the result packing is built once, from the path.
 """
 
 from __future__ import annotations
@@ -49,10 +50,7 @@ class SolverConfig:
     same verdict. The search stops at its first solution, though, so on a
     feasible instance the pruned search can expand more nodes than the
     plain one, which may find a packing inside a pruned subtree. Limits,
-    when hit, yield status UNKNOWN. Whatever the knobs, the search runs on
-    one board with an explicit stack, so Python's recursion limit does not
-    bound its depth, and it validates nothing per child: validation stays
-    at the API boundary.
+    when hit, yield status UNKNOWN.
     """
 
     enhanced_pruning: bool = True

@@ -8,9 +8,12 @@ from conftest import make_packing, random_partial_packing, random_shape
 from cornerpack import (
     BOTTOM_BORDER,
     LEFT_BORDER,
+    Container,
     Corner,
     CornerAction,
+    Instance,
     Packing,
+    Placement,
     RectDims,
     StaleCornerError,
     apply_action,
@@ -20,7 +23,7 @@ from cornerpack import (
     oracle_corners,
     supporting_rects,
 )
-from cornerpack.corners import _Board, _floors, _positions, _rows
+from cornerpack.corners import _Board, _grid, _positions
 
 
 def test_empty_container_offers_origin_in_both_orientations():
@@ -196,10 +199,10 @@ def test_corner_set_shrinks_consistently_as_prefix_grows():
 
 def test_board_place_and_unplace_are_inverses_and_match_enumeration():
     # Place a random partial packing's rectangles one by one in random
-    # order, then take them off in reverse. At every step the board's rows
-    # are those of the equivalent Packing, its corners for a random shape
-    # are enumerate_corners' in the same order, and each unplace restores
-    # rows, boxes and class cursors exactly.
+    # order, then take them off in reverse. At every step the board's boxes
+    # are those of the equivalent Packing, the corners its grid gives a
+    # random shape are enumerate_corners' and the brute-force oracle's, in
+    # the same order, and each unplace restores boxes and shape cursors.
     rng = random.Random(9091)
     for _ in range(300):
         p = random_partial_packing(rng)
@@ -210,20 +213,47 @@ def test_board_place_and_unplace_are_inverses_and_match_enumeration():
         current = Packing.empty(p.instance)
         saved = []
         for step in range(len(order) + 1):
-            assert board.rows == _rows(current.boxes().values(), c.height, 0, c.height)
             assert board.boxes == [current.boxes().get(i) for i in range(p.instance.n)]
             shape = random_shape(rng, 4, 4)
-            on_board = _positions(board.rows, c.width, shape, _floors(board.rows, board.boxes))
-            assert [(box[0], box[1], rotated) for box, rotated in on_board] == [
-                corner.position for corner in enumerate_corners(current, shape)
-            ]
+            grid = _grid([b for b in board.boxes if b is not None], c.width, c.height)
+            on_board = [(box[0], box[1], rot) for box, rot in _positions(grid, c, shape)]
+            assert on_board == [corner.position for corner in enumerate_corners(current, shape)]
+            assert on_board == oracle_corners(current, shape)
             if step == len(order):
                 break
             i = order[step]
-            saved.append((list(board.rows), list(board.boxes), list(board.cursor)))
+            saved.append((list(board.boxes), dict(board.cursor)))
             board.place(i, p.placed_rect(i).box)
             current = current.with_placement(i, p.placements[i])
         for i in reversed(order):
             board.unplace(i)
-            assert (board.rows, board.boxes, board.cursor) == saved.pop()
-        assert not any(board.rows) and not any(board.cursor)
+            assert (board.boxes, board.cursor) == saved.pop()
+        assert not any(board.cursor.values())
+
+
+def test_corner_cost_does_not_grow_with_the_container():
+    # The grid has one cell per pair of distinct box edges, so scaling every
+    # coordinate by 10**5 scales the corners and nothing else, and a
+    # container of about 10**6 per side is answered as fast as a small one.
+    rng = random.Random(404)
+    k = 10**5
+    for _ in range(50):
+        p = random_partial_packing(rng, max_side=10)
+        c = p.instance.container
+        rects = tuple(RectDims(r.width * k, r.height * k) for r in p.instance.rects)
+        big = Packing(
+            Instance(Container(c.width * k, c.height * k), rects),
+            tuple(pl and Placement(pl.x * k, pl.y * k, pl.rotated) for pl in p.placements),
+        )
+        shape = random_shape(rng, 4, 4)
+        small_corners = enumerate_corners(p, shape)
+        big_corners = enumerate_corners(big, RectDims(shape.width * k, shape.height * k))
+        assert [(x * k, y * k, r) for x, y, r in (cr.position for cr in small_corners)] == [
+            cr.position for cr in big_corners
+        ]
+        for i in p.placed_indices():
+            assert supporting_rects(big, i) == supporting_rects(p, i)
+    whole = Packing.empty(Instance(Container(10**6, 10**6), (RectDims(10**6, 10**6),)))
+    corner = enumerate_corners(whole, RectDims(10**6, 10**6))[0]
+    full = apply_action(whole, CornerAction(0, corner))
+    assert full.is_complete and enumerate_corners(full, RectDims(1, 1)) == []

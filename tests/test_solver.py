@@ -12,6 +12,7 @@ from cornerpack import (
     SolveStatus,
     SolverConfig,
     certify,
+    guillotine_layout,
     is_bottom_left_stable,
     is_feasible,
     quick_reject,
@@ -188,3 +189,28 @@ def test_deep_search_does_not_hit_the_recursion_limit():
     assert result.status is SolveStatus.FEASIBLE
     assert result.stats.max_depth == 1000
     assert certify(instance, result)
+
+
+def test_search_cost_does_not_grow_with_coordinates():
+    # Scaling every side by 10**5 must not change the search: the same
+    # status, node count and depth, and the packing scaled. One rectangle
+    # filling a 10**6 x 10**6 container is decided at once.
+    k = 10**5
+    for seed in range(6):
+        small = guillotine_layout(Container(16, 16), 10, random.Random(seed)).instance
+        big = Instance(
+            Container(16 * k, 16 * k), tuple(RectDims(r.width * k, r.height * k) for r in small.rects)
+        )
+        for enhanced in (False, True):
+            config = SolverConfig(enhanced_pruning=enhanced, node_limit=200)
+            a, b = solve(small, config), solve(big, config)
+            assert (a.status, a.stats.nodes_expanded, a.stats.max_depth) == (
+                b.status, b.stats.nodes_expanded, b.stats.max_depth
+            )
+            if a.packing is not None:
+                assert [(pl.x * k, pl.y * k, pl.rotated) for pl in a.packing.placements] == [
+                    (pl.x, pl.y, pl.rotated) for pl in b.packing.placements
+                ]
+    whole = inst(10**6, 10**6, (10**6, 10**6))
+    result = solve(whole)
+    assert result.status is SolveStatus.FEASIBLE and certify(whole, result)
