@@ -140,11 +140,11 @@ def _positions(grid: Grid, c: Container, shape: RectDims) -> list[tuple[Box, boo
 
 def _support_names(boxes: dict[int, Box], target: Box) -> tuple[Support, Support]:
     """The supports of a corner at ``target``: on each side the lowest-indexed
-    box touching it, or the border where none can (at coordinate zero)."""
-    return (
-        next((j for j, b in boxes.items() if box_touches(b, target, True)), LEFT_BORDER),
-        next((j for j, b in boxes.items() if box_touches(b, target, False)), BOTTOM_BORDER),
-    )
+    box touching it, whatever the map's order, or the border where none can
+    (at coordinate zero)."""
+    left = [j for j, b in boxes.items() if box_touches(b, target, True)]
+    bottom = [j for j, b in boxes.items() if box_touches(b, target, False)]
+    return min(left, default=LEFT_BORDER), min(bottom, default=BOTTOM_BORDER)
 
 
 def _corner_blockers(boxes: dict[int, Box], c: Container, target: Box) -> dict[int, Box] | None:
@@ -156,15 +156,14 @@ def _corner_blockers(boxes: dict[int, Box], c: Container, target: Box) -> dict[i
     return near if target in _corner_scan(grid, c, x2 - x, y2 - y) else None
 
 
-def _supports(p: Packing, x: int, y: int, ew: int, eh: int) -> tuple[Support, Support]:
-    """The left and bottom supports of an ew x eh shape placed at (x, y).
+def _supports(boxes: dict[int, Box], c: Container, target: Box) -> tuple[Support, Support]:
+    """The left and bottom supports of a shape placed at ``target`` among ``boxes``.
 
-    Raises StaleCornerError when (x, y) is not a corner of ``p``.
+    Raises StaleCornerError when ``target`` is not a corner of ``boxes`` in ``c``.
     """
-    target = (x, y, x + ew, y + eh)
-    near = _corner_blockers(p.boxes(), p.instance.container, target)
+    near = _corner_blockers(boxes, c, target)
     if near is None:
-        raise StaleCornerError(f"position ({x}, {y}) is not a corner")
+        raise StaleCornerError(f"position ({target[0]}, {target[1]}) is not a corner")
     return _support_names(near, target)
 
 

@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .corners import Corner, CornerAction, StaleCornerError, _supports, apply_action
-from .geometry import RIGHT, UP, Box, Packing, box_over, box_right_of, free_directions, is_feasible
+from .geometry import Box, Packing, box_over, box_right_of, is_feasible
+# Unused here: the benchmark's tracer patches this name (ROADMAP item 1).
+from .geometry import free_directions  # noqa: F401
 from .stability import InfeasiblePackingError, is_bottom_left_stable
-
-_BOTH = frozenset((UP, RIGHT))
 
 
 class NotBottomLeftStableError(ValueError):
@@ -87,18 +87,8 @@ def find_escaper(p: Packing) -> EscapeChain:
     return _climb(live)
 
 
-def extraction_order(p: Packing) -> tuple[int, ...]:
-    """Peel off an escaping rectangle until none are left.
-
-    Each round re-runs the escape search on the rectangles still present,
-    so ranks and over-relations always refer to the current residue. In
-    the returned order, no later entry is over or right of an earlier
-    one; that relation is re-audited before returning. Raises
-    InfeasiblePackingError on overlapping or protruding input.
-    """
-    if not is_feasible(p):
-        raise InfeasiblePackingError("extraction order requires a feasible packing")
-    boxes = p.boxes()
+def _peel(boxes: dict[int, Box]) -> tuple[int, ...]:
+    """The extraction order of the disjoint ``boxes``, audited; see extraction_order."""
     live = dict(boxes)
     order = []
     while live:
@@ -113,6 +103,20 @@ def extraction_order(p: Packing) -> tuple[int, ...]:
                     f"rectangle {later} over or right of rectangle {earlier}"
                 )
     return tuple(order)
+
+
+def extraction_order(p: Packing) -> tuple[int, ...]:
+    """Peel off an escaping rectangle until none are left.
+
+    Each round re-runs the escape search on the rectangles still present,
+    so ranks and over-relations always refer to the current residue. In
+    the returned order, no later entry is over or right of an earlier
+    one; that relation is re-audited before returning. Raises
+    InfeasiblePackingError on overlapping or protruding input.
+    """
+    if not is_feasible(p):
+        raise InfeasiblePackingError("extraction order requires a feasible packing")
+    return _peel(p.boxes())
 
 
 @dataclass(frozen=True)
@@ -158,10 +162,10 @@ def placement_order(p: Packing) -> PlacementOrder:
 
     The reverse of the extraction order works: whatever was extracted
     later gets placed earlier, and its supports are always among the
-    rectangles placed before it. Each action is validated once during
-    construction, by the corner scan that names its supports, and the
-    freshly placed rectangle must end up with nothing over it and nothing
-    on its right.
+    rectangles placed before it. The packing's boxes are derived once.
+    Each action is validated once during construction, by the corner scan
+    that names its supports among the boxes placed so far; that no box is
+    over or right of a later-placed one is the extraction order's audit.
 
     Raises InfeasiblePackingError on infeasible input and
     NotBottomLeftStableError when some rectangle could still slide down
@@ -173,23 +177,17 @@ def placement_order(p: Packing) -> PlacementOrder:
         raise NotBottomLeftStableError(
             "packing is not bottom-left stable; compact() it before ordering"
         )
-    order = tuple(reversed(extraction_order(p)))
     boxes = p.boxes()
-    current = Packing.empty(p.instance)
+    order = tuple(reversed(_peel(boxes)))
+    placed: dict[int, Box] = {}
     actions = []
     for i in order:
-        x, y, x2, y2 = boxes[i]
         try:
-            left, bottom = _supports(current, x, y, x2 - x, y2 - y)
+            left, bottom = _supports(placed, p.instance.container, boxes[i])
         except StaleCornerError as e:
             raise RuntimeError(
                 f"internal contradiction: rectangle {i} is not corner-placeable in order"
             ) from e
-        action = CornerAction(i, Corner(x, y, p.placements[i].rotated, left, bottom))
-        current = current.with_placement(i, p.placements[i])
-        if free_directions(i, current) != _BOTH:
-            raise RuntimeError(
-                f"internal contradiction: rectangle {i} placed under or left of another"
-            )
-        actions.append(action)
+        x, y, _, _ = placed[i] = boxes[i]
+        actions.append(CornerAction(i, Corner(x, y, p.placements[i].rotated, left, bottom)))
     return PlacementOrder(p, order, tuple(actions))

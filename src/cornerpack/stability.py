@@ -6,13 +6,17 @@ feasible (container borders count as obstacles here). :func:`compact`
 turns any feasible packing into a bottom-left stable one by repeated
 maximal slides; every move strictly decreases the coordinate sum, which
 bounds the number of moves and guarantees termination.
+
+Slides are measured on one box map (:meth:`Packing.boxes`), derived once
+per call; :func:`compact` moves its boxes in place and builds the result
+packing at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geometry import Packing, Placement, box_over, box_right_of, is_feasible, l_value
+from .geometry import Box, Packing, Placement, box_over, box_right_of, is_feasible, l_value
 
 DOWN = "down"
 LEFT = "left"
@@ -48,22 +52,23 @@ class CompactionTrace:
         return self.initial_l - self.final_l
 
 
-def max_down_slide(i: int, p: Packing) -> int:
-    """Largest distance rectangle ``i`` can move straight down.
+def _slide(boxes: dict[int, Box], i: int, direction: str) -> int:
+    """How far box ``i`` can move down or left before a border or another box stops it."""
+    rel, low, high = (box_over, 1, 3) if direction == DOWN else (box_right_of, 0, 2)
+    blocks = [b[high] for j, b in boxes.items() if j != i and rel(boxes[i], b)]
+    return boxes[i][low] - max(blocks, default=0)
 
-    The move must keep the packing feasible, so the floor and every
-    rectangle below ``i`` with positive x-overlap limit the slide.
-    """
-    target = p.placed_rect(i).box
-    below = [b[3] for j, b in p.boxes().items() if j != i and box_over(target, b)]
-    return target[1] - max(below, default=0)
+
+def max_down_slide(i: int, p: Packing) -> int:
+    """Largest distance rectangle ``i`` can move straight down."""
+    p.placed_rect(i)  # IndexError or ValueError unless rectangle i is placed
+    return _slide(p.boxes(), i, DOWN)
 
 
 def max_left_slide(i: int, p: Packing) -> int:
     """Largest distance rectangle ``i`` can move straight left."""
-    target = p.placed_rect(i).box
-    left = [b[2] for j, b in p.boxes().items() if j != i and box_right_of(target, b)]
-    return target[0] - max(left, default=0)
+    p.placed_rect(i)  # IndexError or ValueError unless rectangle i is placed
+    return _slide(p.boxes(), i, LEFT)
 
 
 def _moved(pl: Placement, direction: str, distance: int) -> Placement:
@@ -82,7 +87,8 @@ def is_bottom_left_stable_rect(i: int, p: Packing) -> bool:
 
 def is_bottom_left_stable(p: Packing) -> bool:
     """True when every placed rectangle is bottom-left stable."""
-    return all(is_bottom_left_stable_rect(i, p) for i in p.placed_indices())
+    boxes = p.boxes()
+    return all(_slide(boxes, i, DOWN) == 0 and _slide(boxes, i, LEFT) == 0 for i in boxes)
 
 
 def compact(p: Packing) -> tuple[Packing, CompactionTrace]:
@@ -102,24 +108,26 @@ def compact(p: Packing) -> tuple[Packing, CompactionTrace]:
         raise InfeasiblePackingError("cannot compact an infeasible packing")
 
     initial = l_value(p)
-    current = p
+    boxes = p.boxes()
     steps: list[tuple[int, str, int]] = []
 
     moved = True
     while moved:
         moved = False
-        order = sorted(
-            current.placed_indices(),
-            key=lambda i: (current.placements[i].y, current.placements[i].x),
-        )
-        for i in order:
-            for direction, max_slide in ((DOWN, max_down_slide), (LEFT, max_left_slide)):
-                d = max_slide(i, current)
+        for i in sorted(boxes, key=lambda i: (boxes[i][1], boxes[i][0])):
+            for direction in (DOWN, LEFT):
+                d = _slide(boxes, i, direction)
                 if d > 0:
-                    current = current.with_placement(i, _moved(current.placements[i], direction, d))
+                    dx, dy = (0, d) if direction == DOWN else (d, 0)
+                    x1, y1, x2, y2 = boxes[i]
+                    boxes[i] = (x1 - dx, y1 - dy, x2 - dx, y2 - dy)
                     steps.append((i, direction, d))
                     moved = True
 
+    placements = list(p.placements)
+    for i, (x, y, _, _) in boxes.items():
+        placements[i] = Placement(x, y, placements[i].rotated)
+    current = Packing(p.instance, placements)
     trace = CompactionTrace(tuple(steps), initial, l_value(current))
     return current, trace
 

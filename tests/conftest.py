@@ -64,6 +64,17 @@ def random_loose_packing(rng: random.Random, max_side: int = 20, max_n: int = 12
     return p
 
 
+def doubled_tiling(rng: random.Random, side: int, n: int) -> Packing:
+    """A side x side guillotine tiling of n rectangles with every coordinate
+    doubled in a doubled container: every rectangle floats, so compaction
+    moves nearly all of them."""
+    layout = guillotine_layout(Container(side, side), n, rng)
+    return Packing(
+        Instance(Container(2 * side, 2 * side), layout.instance.rects),
+        tuple(Placement(2 * pl.x, 2 * pl.y, pl.rotated) for pl in layout.placements),
+    )
+
+
 def random_partial_packing(rng: random.Random, max_side: int = 8, max_n: int = 10) -> Packing:
     """A feasible packing with some rectangles left unplaced (None slots)."""
     width = rng.randint(1, max_side)

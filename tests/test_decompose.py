@@ -4,18 +4,14 @@ import random
 
 import pytest
 
-from conftest import make_packing, random_complete_packing, random_loose_packing
+from conftest import doubled_tiling, make_packing, random_complete_packing, random_loose_packing
 from cornerpack import (
     RIGHT,
     UP,
-    Container,
     CornerAction,
     EscapeChain,
     InfeasiblePackingError,
-    Instance,
     NotBottomLeftStableError,
-    Packing,
-    Placement,
     PlacementOrder,
     StaleCornerError,
     apply_trace,
@@ -23,7 +19,6 @@ from cornerpack import (
     extraction_order,
     find_escaper,
     free_directions,
-    guillotine_layout,
     placement_order,
 )
 
@@ -130,6 +125,16 @@ def test_two_rect_row_places_left_first():
     assert po.actions[1].corner.left_support == 0
 
 
+def test_action_names_the_lower_indexed_of_two_supporters():
+    # Rectangle 2 rests on rectangles 0 and 1. Rectangle 1 sits left of 0,
+    # so it is placed first, yet the action names the lower index.
+    p = make_packing(4, 2, (2, 1, 2, 0), (2, 1, 0, 0), (4, 1, 0, 1))
+    po = placement_order(p)
+    assert po.order == (1, 0, 2)
+    assert po.actions[2].corner.bottom_support == 0
+    assert po.actions[1].corner.left_support == 1
+
+
 def test_placement_order_requires_stability():
     p = make_packing(6, 6, (2, 2, 3, 3))
     with pytest.raises(NotBottomLeftStableError):
@@ -170,15 +175,9 @@ def test_replay_round_trip_on_random_packings():
 
 @pytest.mark.parametrize("side, n", [(14, 60), (20, 120)])
 def test_round_trip_on_large_loose_packings(side, n):
-    # Guillotine tilings with every coordinate doubled in a doubled
-    # container: every rectangle floats, so compaction moves nearly all.
     rng = random.Random(side * 1000 + n)
     for _ in range(3):
-        layout = guillotine_layout(Container(side, side), n, rng)
-        loose = Packing(
-            Instance(Container(2 * side, 2 * side), layout.instance.rects),
-            tuple(Placement(2 * pl.x, 2 * pl.y, pl.rotated) for pl in layout.placements),
-        )
+        loose = doubled_tiling(rng, side, n)
         stable, trace = compact(loose)
         assert apply_trace(loose, trace) == stable
         assert placement_order(stable).replay()[-1] == stable

@@ -4,10 +4,17 @@ import random
 
 import pytest
 
-from conftest import make_packing, random_loose_packing
+from conftest import (
+    doubled_tiling,
+    make_packing,
+    random_complete_packing,
+    random_loose_packing,
+    random_partial_packing,
+)
 from cornerpack import (
     CompactionTrace,
     InfeasiblePackingError,
+    Packing,
     Placement,
     apply_trace,
     compact,
@@ -17,6 +24,7 @@ from cornerpack import (
     l_value,
     max_down_slide,
     max_left_slide,
+    placement_order,
 )
 
 
@@ -181,3 +189,88 @@ def test_compact_properties_on_random_packings():
         assert again == out
         assert second.steps == ()
         assert apply_trace(p, trace) == out
+
+
+# --- one box map: same answers as slide-by-slide, a fixed number of box derivations ---
+
+
+def _reference_compact(p):
+    """Compaction spelled out through the public per-rectangle slides.
+
+    Same sweep as :func:`compact` (increasing (y, x), down then left, until
+    a sweep moves nothing), but every slide is measured on a fresh packing.
+    """
+    initial, current, steps = l_value(p), p, []
+    moved = True
+    while moved:
+        moved = False
+        pls = current.placements
+        for i in sorted(current.placed_indices(), key=lambda i: (pls[i].y, pls[i].x)):
+            for direction, slide in (("down", max_down_slide), ("left", max_left_slide)):
+                d = slide(i, current)
+                if d > 0:
+                    pl = current.placements[i]
+                    dx, dy = (0, d) if direction == "down" else (d, 0)
+                    current = current.with_placement(i, Placement(pl.x - dx, pl.y - dy, pl.rotated))
+                    steps.append((i, direction, d))
+                    moved = True
+    return current, CompactionTrace(tuple(steps), initial, l_value(current))
+
+
+def _differential_packings():
+    rng = random.Random(8128)
+    for _ in range(280):
+        yield random_loose_packing(rng, max_side=14, max_n=10)
+    for _ in range(20):
+        yield random_partial_packing(rng)
+    for side, n, count in ((10, 30, 12), (14, 60, 6), (20, 120, 2)):
+        for _ in range(count):
+            yield doubled_tiling(rng, side, n)
+
+
+def test_compact_matches_slide_by_slide_reference():
+    rotated = 0
+    for p in _differential_packings():
+        rotated += any(pl.rotated for pl in p.placements if pl is not None)
+        assert compact(p) == _reference_compact(p)
+    assert rotated > 100
+
+
+def test_packing_stability_is_every_rectangle_stable():
+    rng = random.Random(2718)
+    stable = unstable = 0
+    for _ in range(300):
+        make = random_loose_packing if rng.random() < 0.5 else random_complete_packing
+        p = make(rng, max_side=12, max_n=9)
+        for q in (p, compact(p)[0]):
+            verdict = is_bottom_left_stable(q)
+            assert verdict == all(is_bottom_left_stable_rect(i, q) for i in q.placed_indices())
+            stable += verdict
+            unstable += not verdict
+    assert stable > 100 and unstable > 100
+
+
+def test_box_derivations_do_not_grow_with_the_packing(monkeypatch):
+    derived = []
+    boxes = Packing.boxes
+
+    def counted(self):
+        derived.append(self)
+        return boxes(self)
+
+    monkeypatch.setattr(Packing, "boxes", counted)
+
+    def count(fn, p):
+        derived.clear()
+        fn(p)
+        return len(derived)
+
+    counts = []
+    for side, n in ((10, 30), (20, 120)):
+        loose = doubled_tiling(random.Random(n), side, n)
+        stable, _ = compact(loose)
+        counts.append(
+            [count(compact, loose), count(placement_order, stable)]
+            + [count(is_bottom_left_stable, q) for q in (loose, stable)]
+        )
+    assert counts[0] == counts[1]
