@@ -7,10 +7,11 @@ rectangle onto such a corner is the only move the exact solver performs.
 
 One bitboard scan, :func:`_corner_scan`, decides that test, on the grid
 of the placed boxes' distinct edges (:func:`_grid`), so its cost follows
-the number of rectangles, not the container's size. The search builds
-that grid once per node from its mutable :class:`_Board`; enumeration
-and action validation build it from a :class:`Packing` and then name the
-supports from the boxes.
+the number of rectangles, not the container's size. The search's mutable
+:class:`_Board` grows that grid by one box per placement (:func:`_grow`)
+and the scan drops dominated corners with two bit tests; enumeration and
+action validation build the grid from a :class:`Packing` and then name
+the supports from the boxes.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
+from operator import or_
 from typing import Iterator
 
 from .geometry import Box, Container, Instance, Packing, Placement, RectDims, box_touches
@@ -91,7 +94,35 @@ def _grid(boxes: list[Box], width: int, height: int) -> Grid:
     return xs, ys, rows
 
 
-def _corner_scan(grid: Grid, c: Container, ew: int, eh: int) -> list[Box]:
+def _grow(grid: Grid, box: Box) -> Grid:
+    """``grid`` with ``box`` added, as a new grid; ``grid`` is left as it was.
+
+    A new x edge splits a column, so every row repeats that column's bit; a
+    new y edge splits a row, which is repeated. Then the box's cells are set.
+    Each step copies every row, so :func:`_grid`, not a fold of this, builds
+    the grid of many boxes at once.
+    """
+    xs, ys, rows = grid
+    x1, y1, x2, y2 = box
+    for x in (x1, x2):
+        j = bisect_left(xs, x)
+        if xs[j] != x:
+            xs = [*xs[:j], x, *xs[j:]]
+            low = (1 << j) - 1
+            rows = [r & low | (r >> (j - 1)) << j for r in rows]
+    rows = list(rows)
+    for y in (y1, y2):
+        k = bisect_left(ys, y)
+        if ys[k] != y:
+            ys = [*ys[:k], y, *ys[k:]]
+            rows.insert(k, rows[k - 1])
+    bits = (1 << bisect_left(xs, x2)) - (1 << bisect_left(xs, x1))
+    for k in range(bisect_left(ys, y1), bisect_left(ys, y2)):
+        rows[k] |= bits
+    return xs, ys, rows
+
+
+def _corner_scan(grid: Grid, c: Container, ew: int, eh: int, prune: bool = False) -> list[Box]:
     """The boxes at which an ew x eh shape sits on a corner of ``grid``.
 
     A corner is a position where the shape fits in the container, covers
@@ -99,8 +130,15 @@ def _corner_scan(grid: Grid, c: Container, ew: int, eh: int) -> list[Box]:
     just left of it) and downward (y == 0, or one just below it). Such a
     cell belongs to a box whose edge is the shape's edge, so this is the
     box-contact test. Hits are sorted by (y, x).
+
+    With ``prune``, a corner is dropped when some box would be over the
+    shape or right of it (``box_over``/``box_right_of``). The shape
+    overlaps nothing there, so a covered cell in the shape's columns at or
+    above its top, or in its rows at or beyond its right edge, can only
+    belong to such a box.
     """
     xs, ys, rows = grid
+    above = None  # with prune, the OR of rows[k:] for each k, built at the first test
     out = []
     for k, y in enumerate(ys):
         y2 = y + eh
@@ -108,8 +146,9 @@ def _corner_scan(grid: Grid, c: Container, ew: int, eh: int) -> list[Box]:
             break
         if k and not rows[k - 1] & ~rows[k]:
             continue  # no covered cell under a free one: nothing to rest on
+        top = bisect_left(ys, y2)
         band = 0  # the grid rows the shape spans, OR-ed: its cells must be clear here
-        for row in rows[k : bisect_left(ys, y2)]:
+        for row in rows[k:top]:
             band |= row
         below = rows[k - 1] & ~band if k else -1
         # Free cells just right of the border or of an occupied cell.
@@ -120,22 +159,32 @@ def _corner_scan(grid: Grid, c: Container, ew: int, eh: int) -> list[Box]:
             x = xs[low.bit_length() - 1]
             if x + ew > c.width:
                 break
-            span = (1 << bisect_left(xs, x + ew)) - low
-            if not band & span and below & span:
-                out.append((x, y, x + ew, y2))
+            right = bisect_left(xs, x + ew)
+            span = (1 << right) - low
+            if band & span or not below & span:
+                continue
+            if prune:
+                above = above or [*accumulate(reversed(rows), or_)][::-1] + [0]
+                if above[top] & span or band >> right:
+                    continue
+            out.append((x, y, x + ew, y2))
     return out
 
 
-def _positions(grid: Grid, c: Container, shape: RectDims) -> list[tuple[Box, bool]]:
+def _positions(
+    grid: Grid, c: Container, shape: RectDims, prune: bool = False
+) -> list[tuple[Box, bool]]:
     """Every corner of ``shape`` as ``(box, rotated)``, sorted by (y, x, rotated).
 
     A square is scanned in one orientation, since rotating it changes nothing.
     """
-    found = []
-    for rotated in (False,) if shape.is_square else (False, True):
-        ew, eh = (shape.height, shape.width) if rotated else (shape.width, shape.height)
-        found += [(box, rotated) for box in _corner_scan(grid, c, ew, eh)]
-    return sorted(found, key=lambda hit: (hit[0][1], hit[0][0], hit[1]))
+    found = [(box, False) for box in _corner_scan(grid, c, shape.width, shape.height, prune)]
+    if shape.is_square:
+        return found
+    turned = [(box, True) for box in _corner_scan(grid, c, shape.height, shape.width, prune)]
+    if not (found and turned):
+        return found or turned
+    return sorted(found + turned, key=lambda hit: (hit[0][1], hit[0][0], hit[1]))
 
 
 def _support_names(boxes: dict[int, Box], target: Box) -> tuple[Support, Support]:
@@ -242,7 +291,10 @@ class _Board:
     shape up to rotation form a class, ``members[shape]`` in index order, and
     ``cursor[shape]`` counts its placed members: the search only places a
     class's lowest unplaced member, so the count points at the next one.
-    :meth:`place` and :meth:`unplace` are exact inverses.
+    ``grids`` holds one grid per placed box and one for the empty container;
+    its top is the grid of the placed boxes, grown from the one below by the
+    last placed box, or None once every rectangle is placed. :meth:`place`
+    and :meth:`unplace` are exact inverses.
     """
 
     def __init__(self, instance: Instance) -> None:
@@ -252,26 +304,32 @@ class _Board:
         for i, r in enumerate(instance.rects):
             self.members.setdefault(r.canonical(), []).append(i)
         self.cursor = dict.fromkeys(self.members, 0)
+        empty: Grid = ([0, self.container.width], [0, self.container.height], [0])
+        self.grids: list[Grid | None] = [empty]
 
     def place(self, i: int, box: Box) -> None:
         self.boxes[i] = box
         self.cursor[self.rects[i].canonical()] += 1
+        full = len(self.grids) == len(self.boxes)  # nothing is ever scanned on a full board
+        self.grids.append(None if full else _grow(self.grids[-1], box))
 
     def unplace(self, i: int) -> None:
         self.boxes[i] = None
         self.cursor[self.rects[i].canonical()] -= 1
+        self.grids.pop()
 
-    def moves(self, key) -> Iterator[tuple[int, Box, bool]]:
+    def moves(self, key, prune: bool) -> Iterator[tuple[int, Box, bool]]:
         """The corner placements ``(i, box, rotated)`` out of the current state, lazily.
 
-        The grid of the placed boxes is built once. Each class's next
-        member, in ``key`` order, goes onto each of its corners in
-        (y, x, rotated) order; permuting identical shapes never gives a
-        new packing. Resume only in the state the iterator began in.
+        Each class's next member, in ``key`` order, goes onto each of its
+        corners in (y, x, rotated) order; permuting identical shapes never
+        gives a new packing. ``prune`` drops the corners that would leave
+        the new box under or left of a placed one. Resume only in the state
+        the iterator began in.
         """
         c = self.container
-        grid = _grid([b for b in self.boxes if b is not None], c.width, c.height)
+        grid = self.grids[-1]
         nexts = [m[k] for m, k in zip(self.members.values(), self.cursor.values()) if k < len(m)]
         for i in sorted(nexts, key=key):
-            for box, rotated in _positions(grid, c, self.rects[i]):
+            for box, rotated in _positions(grid, c, self.rects[i], prune):
                 yield i, box, rotated

@@ -10,6 +10,7 @@ logic with them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .geometry import Instance, Packing, Placement, RectDims
 
@@ -44,6 +45,25 @@ def _orientations(shape: RectDims) -> list[tuple[int, int, bool]]:
     return out
 
 
+def _free_boxes(
+    shape: RectDims, width: int, height: int, placed: list[tuple[int, int, int, int]]
+) -> Iterator[tuple[tuple[int, int, int, int], Placement]]:
+    """Each in-container box of ``shape`` disjoint from ``placed``, with its
+    placement: unrotated before rotated, then by (y, x). Read lazily, so
+    ``placed`` must hold the same boxes whenever the generator resumes."""
+    for ew, eh, rotated in _orientations(shape):
+        if ew > width or eh > height:
+            continue
+        for y in range(height - eh + 1):
+            for x in range(width - ew + 1):
+                box = (x, y, x + ew, y + eh)
+                for other in placed:
+                    if not _disjoint(box, other):
+                        break
+                else:
+                    yield box, Placement(x, y, rotated)
+
+
 def oracle_feasible(instance: Instance, limits: OracleLimits | None = None) -> Packing | None:
     """Find any feasible packing by trying every placement, or prove none.
 
@@ -51,44 +71,36 @@ def oracle_feasible(instance: Instance, limits: OracleLimits | None = None) -> P
     position is tried row by row from the bottom ((y, x) increasing),
     unrotated before rotated, with no stability requirement. Returns the
     first complete assignment found, None after exhausting all of them. A
-    state is one partial assignment entered by the search.
+    state is one partial assignment entered by the search. The search
+    keeps one pending-box generator per rectangle on an explicit stack, so
+    Python's recursion limit does not bound the number of rectangles.
     """
     limits = limits or OracleLimits()
     width = instance.container.width
     height = instance.container.height
-    shapes = instance.rects
     n = instance.n
     states = 0
     placed: list[tuple[int, int, int, int]] = []
     chosen: list[Placement] = []
-
-    def extend(i: int) -> bool:
-        nonlocal states
+    pending = []  # one generator per entered state, for the rectangle it places next
+    while True:
+        # Entering the state in which rectangles 0 .. len(chosen) - 1 are placed.
         states += 1
         if states > limits.max_states:
             raise OracleCapacityError(
                 f"exceeded {limits.max_states} states on a {width}x{height} instance with {n} rectangles"
             )
-        if i == n:
-            return True
-        for ew, eh, rotated in _orientations(shapes[i]):
-            if ew > width or eh > height:
-                continue
-            for y in range(height - eh + 1):
-                for x in range(width - ew + 1):
-                    box = (x, y, x + ew, y + eh)
-                    if all(_disjoint(box, other) for other in placed):
-                        placed.append(box)
-                        chosen.append(Placement(x, y, rotated))
-                        if extend(i + 1):
-                            return True
-                        placed.pop()
-                        chosen.pop()
-        return False
-
-    if extend(0):
-        return Packing(instance, tuple(chosen))
-    return None
+        if len(chosen) == n:
+            return Packing(instance, tuple(chosen))
+        pending.append(_free_boxes(instance.rects[len(chosen)], width, height, placed))
+        while (step := next(pending[-1], None)) is None:
+            pending.pop()
+            if not pending:
+                return None
+            placed.pop()
+            chosen.pop()
+        placed.append(step[0])
+        chosen.append(step[1])
 
 
 def oracle_corners(p: Packing, shape: RectDims) -> list[tuple[int, int, bool]]:

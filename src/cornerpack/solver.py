@@ -9,9 +9,11 @@ feasible packing into a stable one.
 The search runs on an explicit stack, so Python's recursion limit does
 not bound its depth, over one mutable board (:class:`corners._Board`).
 Each node scans its corners once, on a bitboard of the placed boxes'
-distinct edges; a child is placed on the board and later taken off,
-never re-validated. Frozen packings and validated actions stay at the
-API boundary: the result packing is built once, from the path.
+distinct edges that the board grows by one box per placement; enhanced
+pruning is two bit tests inside that scan, not a check per child. A
+child is placed on the board and later taken off, never re-validated.
+Frozen packings and validated actions stay at the API boundary: the
+result packing is built once, from the path.
 """
 
 from __future__ import annotations
@@ -117,20 +119,24 @@ def _order_key(config: SolverConfig, instance: Instance):
 
 
 def _dominated(boxes: list[Box | None], new: Box) -> bool:
-    """True when some placed box is over or right of the box ``new``."""
+    """True when some placed box is over or right of the box ``new``.
+
+    The reference definition of enhanced pruning. The search itself prunes
+    inside the corner scan with two bit tests (``corners._corner_scan``);
+    tests compare that scan with this function, and the benchmark's tracer
+    patches it here.
+    """
     return any(b is not None and (box_over(b, new) or box_right_of(b, new)) for b in boxes)
 
 
-def _advance(board: _Board, frames: list, path: list, enhanced: bool) -> bool:
-    """Place the next unpruned child in depth-first order; False once the root is exhausted.
+def _advance(board: _Board, frames: list, path: list) -> bool:
+    """Place the next child in depth-first order; False once the root is exhausted.
 
     ``frames`` holds one move iterator per node on ``path``; an exhausted
     node is popped and the move that reached it is taken off the board.
     """
     while frames:
         for i, box, rotated in frames[-1]:
-            if enhanced and _dominated(board.boxes, box):
-                continue
             board.place(i, box)
             path.append((i, box, rotated))
             return True
@@ -175,8 +181,8 @@ def solve(instance: Instance, config: SolverConfig | None = None) -> SolveResult
         if len(path) == instance.n:
             status = SolveStatus.FEASIBLE
             break
-        frames.append(board.moves(key))
-        if not _advance(board, frames, path, config.enhanced_pruning):
+        frames.append(board.moves(key, config.enhanced_pruning))
+        if not _advance(board, frames, path):
             status = SolveStatus.INFEASIBLE
             break
     stats = SolveStats(nodes, max_depth, time.perf_counter() - start)

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 from cornerpack import (
     Container,
@@ -89,3 +92,17 @@ def random_partial_packing(rng: random.Random, max_side: int = 8, max_n: int = 1
 
 def random_shape(rng: random.Random, max_w: int, max_h: int) -> RectDims:
     return RectDims(rng.randint(1, max_w), rng.randint(1, max_h))
+
+
+def load_perfbench(name: str):
+    """The benchmark's ``perfbench/<name>.py``, loaded read-only from its file
+    (once per session), so tests can run its workloads and checkers."""
+    module_name = f"perfbench_{name}"
+    if module_name not in sys.modules:
+        path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+        spec = importlib.util.spec_from_file_location(module_name, path)
+        module = importlib.util.module_from_spec(spec)
+        # Dataclasses resolve their string annotations through sys.modules.
+        sys.modules[module_name] = module
+        spec.loader.exec_module(module)
+    return sys.modules[module_name]

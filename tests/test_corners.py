@@ -24,6 +24,7 @@ from cornerpack import (
     supporting_rects,
 )
 from cornerpack.corners import _Board, _grid, _positions
+from cornerpack.solver import _dominated
 
 
 def test_empty_container_offers_origin_in_both_orientations():
@@ -197,38 +198,85 @@ def test_corner_set_shrinks_consistently_as_prefix_grows():
         assert (chosen.x, chosen.y, chosen.rotated) not in after
 
 
+def scaled(p: Packing, k: int) -> Packing:
+    """``p`` with every side and coordinate multiplied by ``k``."""
+    c = p.instance.container
+    rects = tuple(RectDims(r.width * k, r.height * k) for r in p.instance.rects)
+    return Packing(
+        Instance(Container(c.width * k, c.height * k), rects),
+        tuple(pl and Placement(pl.x * k, pl.y * k, pl.rotated) for pl in p.placements),
+    )
+
+
 def test_board_place_and_unplace_are_inverses_and_match_enumeration():
     # Place a random partial packing's rectangles one by one in random
     # order, then take them off in reverse. At every step the board's boxes
-    # are those of the equivalent Packing, the corners its grid gives a
+    # are those of the equivalent Packing, its top grid, grown one box at a
+    # time, is the grid built from scratch from those boxes (same edges,
+    # same rows; a full board keeps none), the corners that grid gives a
     # random shape are enumerate_corners' and the brute-force oracle's, in
-    # the same order, and each unplace restores boxes and shape cursors.
+    # the same order, and each unplace restores boxes, shape cursors and
+    # grid. Scaled by 10**5 the grid stays as small (the oracle, which
+    # scans every integral position, is left out there).
     rng = random.Random(9091)
-    for _ in range(300):
-        p = random_partial_packing(rng)
+    for k in (1, 10**5):
+        for _ in range(300):
+            p = scaled(random_partial_packing(rng), k)
+            c = p.instance.container
+            board = _Board(p.instance)
+            order = p.placed_indices()
+            rng.shuffle(order)
+            current = Packing.empty(p.instance)
+            saved = []
+            for step in range(len(order) + 1):
+                assert board.boxes == [current.boxes().get(i) for i in range(p.instance.n)]
+                grid = board.grids[-1]
+                placed = [b for b in board.boxes if b is not None]
+                assert len(board.grids) == step + 1
+                if len(placed) == p.instance.n:
+                    assert grid is None  # a full board is never scanned
+                    grid = _grid(placed, c.width, c.height)
+                assert grid == _grid(placed, c.width, c.height)
+                assert len(grid[0]) <= 2 * len(placed) + 2
+                small = random_shape(rng, 4, 4)
+                shape = RectDims(small.width * k, small.height * k)
+                on_board = [(box[0], box[1], rot) for box, rot in _positions(grid, c, shape)]
+                assert on_board == [corner.position for corner in enumerate_corners(current, shape)]
+                if k == 1:
+                    assert on_board == oracle_corners(current, shape)
+                if step == len(order):
+                    break
+                i = order[step]
+                saved.append((list(board.boxes), dict(board.cursor), grid))
+                board.place(i, p.placed_rect(i).box)
+                current = current.with_placement(i, p.placements[i])
+            for i in reversed(order):
+                board.unplace(i)
+                boxes, cursor, grid = saved.pop()
+                assert (board.boxes, board.cursor, board.grids[-1]) == (boxes, cursor, grid)
+                placed = [b for b in boxes if b is not None]
+                assert grid == _grid(placed, c.width, c.height)
+            assert not any(board.cursor.values()) and len(board.grids) == 1
+
+
+def test_pruned_scan_drops_exactly_the_dominated_corners():
+    # Enhanced pruning happens inside the scan; solver._dominated is its
+    # reference definition. On random partial packings the pruned corners
+    # of a random shape are the unpruned ones whose box no placed box is
+    # over or right of.
+    rng = random.Random(5150)
+    dropped = 0
+    for _ in range(400):
+        p = random_partial_packing(rng, max_side=10, max_n=12)
         c = p.instance.container
-        board = _Board(p.instance)
-        order = p.placed_indices()
-        rng.shuffle(order)
-        current = Packing.empty(p.instance)
-        saved = []
-        for step in range(len(order) + 1):
-            assert board.boxes == [current.boxes().get(i) for i in range(p.instance.n)]
-            shape = random_shape(rng, 4, 4)
-            grid = _grid([b for b in board.boxes if b is not None], c.width, c.height)
-            on_board = [(box[0], box[1], rot) for box, rot in _positions(grid, c, shape)]
-            assert on_board == [corner.position for corner in enumerate_corners(current, shape)]
-            assert on_board == oracle_corners(current, shape)
-            if step == len(order):
-                break
-            i = order[step]
-            saved.append((list(board.boxes), dict(board.cursor)))
-            board.place(i, p.placed_rect(i).box)
-            current = current.with_placement(i, p.placements[i])
-        for i in reversed(order):
-            board.unplace(i)
-            assert (board.boxes, board.cursor) == saved.pop()
-        assert not any(board.cursor.values())
+        boxes = list(p.boxes().values())
+        grid = _grid(boxes, c.width, c.height)
+        shape = random_shape(rng, 4, 4)
+        every = _positions(grid, c, shape)
+        kept = [(box, rot) for box, rot in every if not _dominated(boxes, box)]
+        assert _positions(grid, c, shape, prune=True) == kept
+        dropped += len(every) - len(kept)
+    assert dropped > 0
 
 
 def test_corner_cost_does_not_grow_with_the_container():
@@ -240,11 +288,7 @@ def test_corner_cost_does_not_grow_with_the_container():
     for _ in range(50):
         p = random_partial_packing(rng, max_side=10)
         c = p.instance.container
-        rects = tuple(RectDims(r.width * k, r.height * k) for r in p.instance.rects)
-        big = Packing(
-            Instance(Container(c.width * k, c.height * k), rects),
-            tuple(pl and Placement(pl.x * k, pl.y * k, pl.rotated) for pl in p.placements),
-        )
+        big = scaled(p, k)
         shape = random_shape(rng, 4, 4)
         small_corners = enumerate_corners(p, shape)
         big_corners = enumerate_corners(big, RectDims(shape.width * k, shape.height * k))

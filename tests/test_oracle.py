@@ -1,6 +1,7 @@
 """Brute-force reference implementations."""
 
 import random
+import sys
 
 import pytest
 
@@ -69,6 +70,29 @@ def test_oracle_capacity_error_instead_of_wrong_answer():
     # plus two placements); a budget of one must abort, not answer.
     with pytest.raises(OracleCapacityError):
         oracle_feasible(inst(4, 4, (2, 4), (2, 4)), OracleLimits(max_states=1))
+
+
+def test_oracle_depth_is_not_bounded_by_the_recursion_limit():
+    # 200 rectangles in a row need 200 nested states; with the recursion
+    # limit only 100 frames above this test, a search that recursed once
+    # per rectangle would raise RecursionError.
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    n = 200
+    instance = inst(n + 20, 1, *[(1, 1)] * n)
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        packing = oracle_feasible(instance)
+    finally:
+        sys.setrecursionlimit(old_limit)
+    assert packing is not None and is_feasible(packing)
+    assert [(pl.x, pl.y) for pl in packing.placements] == [(x, 0) for x in range(n)]
+    # Exactly one state per placed prefix: n + 1 states, so n must abort.
+    with pytest.raises(OracleCapacityError):
+        oracle_feasible(instance, OracleLimits(max_states=n))
+    assert oracle_feasible(instance, OracleLimits(max_states=n + 1)) == packing
 
 
 def test_oracle_corners_empty_container_both_orientations():

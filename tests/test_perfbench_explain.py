@@ -7,24 +7,11 @@ items here keeps that end-to-end path in the test suite, not only in the
 benchmark. The module is loaded read-only from its file.
 """
 
-import importlib.util
-import sys
-from pathlib import Path
-
-WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-
-
-def _load_workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    # Dataclasses resolve their string annotations through sys.modules.
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
+from conftest import load_perfbench
 
 
 def test_every_seed_0_explain_item_checks_out():
-    workloads = _load_workloads()
+    workloads = load_perfbench("workloads")
     items = workloads.make_explain(0)
     assert len(items) == sum(count for *_, count in workloads.EXPLAIN_SIZES)
     for k, item in enumerate(items):

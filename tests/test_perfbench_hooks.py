@@ -6,21 +6,11 @@ or stops importing one of them would break ``run.py --trace 1`` without
 failing any other test, so this checks every patch point resolves.
 """
 
-import importlib.util
-from pathlib import Path
-
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
-
-
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import load_perfbench
 
 
 def test_every_tracer_patch_point_resolves():
-    tracer = _load_tracer()
+    tracer = load_perfbench("tracer")
     for owner, attr, span in tracer.PATCH_POINTS:
         # The tracer reads ``owner.__dict__[attr]``, so inherited or
         # lazily resolved attributes would not do.

@@ -1,0 +1,39 @@
+"""Slices of the benchmark's solver suites, checked item by item.
+
+``crosscheck`` solves tiny instances in both pruning modes and compares
+each verdict with the brute-force oracle; ``nearmiss`` exhausts parity
+near-misses, infeasible by construction yet past ``quick_reject``, in
+both modes. Both run here through the benchmark's own run and check
+functions (``perfbench/workloads.py``, loaded read-only from its file),
+so every exhausted refutation in the slices, pruned or plain, is held
+against the oracle or the construction in the test suite, not only in
+the benchmark.
+"""
+
+from conftest import load_perfbench
+from cornerpack import SolveStatus
+
+
+def test_seed_0_crosscheck_slice_agrees_with_the_oracle():
+    workloads = load_perfbench("workloads")
+    items = workloads.make_crosscheck(0)[:200]
+    refuted = 0
+    for k, item in enumerate(items):
+        outcome = workloads.run_crosscheck(item)
+        checked = workloads.check_crosscheck(item, outcome)
+        assert checked.ok and checked.decided == len(workloads.MODES), f"crosscheck item {k}"
+        results, _ = outcome
+        refuted += any(
+            r.status is SolveStatus.INFEASIBLE and r.stats.nodes_expanded for r in results
+        )
+    # The slice must reach searches that are exhausted, not only quick rejections.
+    assert refuted > 0
+
+
+def test_seed_0_nearmiss_slice_is_refuted_in_both_modes():
+    workloads = load_perfbench("workloads")
+    items = workloads.make_nearmiss(0)[::9]
+    assert len(items) == 40
+    for k, item in enumerate(items):
+        outcome = workloads.check_nearmiss(item, workloads.run_solve(item))
+        assert outcome.ok and outcome.decided == len(workloads.MODES), f"nearmiss item {9 * k}"
