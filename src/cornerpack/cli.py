@@ -21,7 +21,7 @@ from .generate import corner_walk_packing, guillotine_layout
 from .geometry import Container, Packing
 from .oracle import OracleCapacityError, OracleLimits, oracle_feasible
 from .render import render_svg
-from .solver import SolveStatus, SolverConfig, certify, solve
+from .solver import RECT_ORDERS, SolveStatus, SolverConfig, certify, solve
 from .space3d import POS_X, POS_Y, POS_Z, blocked_directions3, find_escaper3, is_feasible3, table1_packing
 from .stability import compact, is_bottom_left_stable
 
@@ -195,7 +195,7 @@ def build_parser() -> _Parser:
     p.add_argument("--no-enhanced", action="store_true", help="disable placement pruning")
     p.add_argument("--node-limit", type=int, default=None, help="max search states")
     p.add_argument("--time-limit", type=float, default=None, help="max seconds")
-    p.add_argument("--order", choices=("input", "area", "perimeter"), default="area")
+    p.add_argument("--order", choices=RECT_ORDERS, default="area")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("compact", help="slide all rectangles maximally down and left")

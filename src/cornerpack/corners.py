@@ -287,49 +287,48 @@ def supporting_rects(p: Packing, i: int) -> set[int]:
 class _Board:
     """The exact search's one mutable state.
 
-    ``boxes[i]`` is rectangle i's box, None while unplaced. Rectangles of one
-    shape up to rotation form a class, ``members[shape]`` in index order, and
-    ``cursor[shape]`` counts its placed members: the search only places a
-    class's lowest unplaced member, so the count points at the next one.
+    ``boxes[i]`` is rectangle i's box, None while unplaced; ``order`` is the
+    solve's fixed branching order. Rectangles of one shape up to rotation
+    form a class and ``prev[i]`` is the previous member of i's class, or
+    None. Members are placed in index order, so i is its class's next one
+    exactly when it is unplaced and ``prev[i]`` is None or placed.
     ``grids`` holds one grid per placed box and one for the empty container;
     its top is the grid of the placed boxes, grown from the one below by the
     last placed box, or None once every rectangle is placed. :meth:`place`
     and :meth:`unplace` are exact inverses.
     """
 
-    def __init__(self, instance: Instance) -> None:
-        self.container, self.rects = instance.container, instance.rects
+    def __init__(self, instance: Instance, order: list[int]) -> None:
+        self.container, self.rects, self.order = instance.container, instance.rects, order
         self.boxes: list[Box | None] = [None] * instance.n
-        self.members: dict[tuple[int, int], list[int]] = {}
-        for i, r in enumerate(instance.rects):
-            self.members.setdefault(r.canonical(), []).append(i)
-        self.cursor = dict.fromkeys(self.members, 0)
+        last: dict[tuple[int, int], int] = {}
+        self.prev: list[int | None] = []
+        for i, shape in enumerate(r.canonical() for r in instance.rects):
+            self.prev.append(last.get(shape))
+            last[shape] = i
         empty: Grid = ([0, self.container.width], [0, self.container.height], [0])
         self.grids: list[Grid | None] = [empty]
 
     def place(self, i: int, box: Box) -> None:
         self.boxes[i] = box
-        self.cursor[self.rects[i].canonical()] += 1
         full = len(self.grids) == len(self.boxes)  # nothing is ever scanned on a full board
         self.grids.append(None if full else _grow(self.grids[-1], box))
 
     def unplace(self, i: int) -> None:
         self.boxes[i] = None
-        self.cursor[self.rects[i].canonical()] -= 1
         self.grids.pop()
 
-    def moves(self, key, prune: bool) -> Iterator[tuple[int, Box, bool]]:
+    def moves(self, prune: bool) -> Iterator[tuple[int, Box, bool]]:
         """The corner placements ``(i, box, rotated)`` out of the current state, lazily.
 
-        Each class's next member, in ``key`` order, goes onto each of its
+        Each class's next member, in ``order``, goes onto each of its
         corners in (y, x, rotated) order; permuting identical shapes never
         gives a new packing. ``prune`` drops the corners that would leave
         the new box under or left of a placed one. Resume only in the state
         the iterator began in.
         """
-        c = self.container
-        grid = self.grids[-1]
-        nexts = [m[k] for m, k in zip(self.members.values(), self.cursor.values()) if k < len(m)]
-        for i in sorted(nexts, key=key):
-            for box, rotated in _positions(grid, c, self.rects[i], prune):
-                yield i, box, rotated
+        c, grid, boxes, prev = self.container, self.grids[-1], self.boxes, self.prev
+        for i in self.order:
+            if boxes[i] is None and (prev[i] is None or boxes[prev[i]] is not None):
+                for box, rotated in _positions(grid, c, self.rects[i], prune):
+                    yield i, box, rotated

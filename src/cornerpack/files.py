@@ -107,7 +107,7 @@ def parse_solution(text: str, instance: Instance) -> Packing | None:
         raise FileFormatError("document: missing field 'placements'")
     if not isinstance(doc["placements"], list):
         raise FileFormatError("placements: expected an array")
-    packing = Packing.empty(instance)
+    placements: list[Placement | None] = [None] * instance.n
     seen = set()
     for k, entry in enumerate(doc["placements"]):
         path = f"placements[{k}]"
@@ -120,13 +120,12 @@ def parse_solution(text: str, instance: Instance) -> Packing | None:
         if index in seen:
             raise FileFormatError(f"{path}.index: duplicate index {index}")
         seen.add(index)
-        placement = Placement(
+        placements[index - 1] = Placement(
             _int(obj["x"], f"{path}.x", 0),
             _int(obj["y"], f"{path}.y", 0),
             _bool(obj["rotated"], f"{path}.rotated"),
         )
-        packing = packing.with_placement(index - 1, placement)
-    return packing
+    return Packing(instance, placements)
 
 
 def emit_solution(packing: Packing | None) -> str:

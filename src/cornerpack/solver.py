@@ -165,8 +165,7 @@ def solve(instance: Instance, config: SolverConfig | None = None) -> SolveResult
             SolveStatus.INFEASIBLE, None, SolveStats(0, 0, time.perf_counter() - start)
         )
 
-    key = _order_key(config, instance)
-    board = _Board(instance)
+    board = _Board(instance, sorted(range(instance.n), key=_order_key(config, instance)))
     path: list[tuple[int, Box, bool]] = []  # (i, box, rotated) from the root down
     frames: list = []
     while True:
@@ -181,7 +180,7 @@ def solve(instance: Instance, config: SolverConfig | None = None) -> SolveResult
         if len(path) == instance.n:
             status = SolveStatus.FEASIBLE
             break
-        frames.append(board.moves(key, config.enhanced_pruning))
+        frames.append(board.moves(config.enhanced_pruning))
         if not _advance(board, frames, path):
             status = SolveStatus.INFEASIBLE
             break

@@ -133,11 +133,14 @@ def compact(p: Packing) -> tuple[Packing, CompactionTrace]:
 
 
 def apply_trace(p: Packing, trace: CompactionTrace) -> Packing:
-    """Replay a compaction trace step by step from ``p``."""
-    current = p
+    """Replay a compaction trace step by step from ``p``; a step naming no
+    rectangle of ``p`` raises IndexError, as :meth:`Packing.placed_rect` does."""
+    placements = list(p.placements)
     for i, direction, distance in trace.steps:
-        pl = current.placements[i]
+        if i < 0:
+            raise IndexError(f"rectangle index {i} out of range")
+        pl = placements[i]
         if pl is None:
             raise ValueError(f"trace moves unplaced rectangle {i}")
-        current = current.with_placement(i, _moved(pl, direction, distance))
-    return current
+        placements[i] = _moved(pl, direction, distance)
+    return Packing(p.instance, placements)

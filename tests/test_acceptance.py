@@ -365,6 +365,15 @@ def test_solve_walks_the_reference_search_on_budgeted_tilings():
         guillotine_layout(Container(w, h), n, rng).instance
         for w, h, n in [(12, 8, 7), (16, 16, 10)] * 30
     ]
+    # Shapes that repeat, some copies listed rotated: two blocks side by
+    # side, each tiled by copies of one shape, the rectangles shuffled.
+    for _ in range(30):
+        (w1, h1), (w2, h2) = [(rng.randint(1, 3), rng.randint(1, 3)) for _ in range(2)]
+        c1, c2 = rng.randint(1, 2), rng.randint(1, 2)
+        copies = [(w1, h1)] * (c1 * h2) + [(w2, h2)] * (c2 * h1)
+        rects = [RectDims(*(dims[::-1] if rng.random() < 0.5 else dims)) for dims in copies]
+        rng.shuffle(rects)
+        instances.append(Instance(Container(c1 * w1 + c2 * w2, h1 * h2), tuple(rects)))
     statuses = set()
     for instance in instances:
         for order in ("input", "area", "perimeter"):

@@ -215,15 +215,23 @@ def test_board_place_and_unplace_are_inverses_and_match_enumeration():
     # time, is the grid built from scratch from those boxes (same edges,
     # same rows; a full board keeps none), the corners that grid gives a
     # random shape are enumerate_corners' and the brute-force oracle's, in
-    # the same order, and each unplace restores boxes, shape cursors and
-    # grid. Scaled by 10**5 the grid stays as small (the oracle, which
-    # scans every integral position, is left out there).
+    # the same order, and each unplace restores boxes and grids. The board
+    # keeps the order it is given, and prev[i] names the previous index of
+    # rectangle i's shape up to rotation. Scaled by 10**5 the grid stays as
+    # small (the oracle, which scans every integral position, is left out
+    # there).
     rng = random.Random(9091)
     for k in (1, 10**5):
         for _ in range(300):
             p = scaled(random_partial_packing(rng), k)
             c = p.instance.container
-            board = _Board(p.instance)
+            rects = p.instance.rects
+            given = rng.sample(range(p.instance.n), p.instance.n)
+            board = _Board(p.instance, given)
+            assert board.order == given
+            for i, j in enumerate(board.prev):
+                same = [h for h in range(i) if rects[h].canonical() == rects[i].canonical()]
+                assert j == max(same, default=None)
             order = p.placed_indices()
             rng.shuffle(order)
             current = Packing.empty(p.instance)
@@ -247,16 +255,17 @@ def test_board_place_and_unplace_are_inverses_and_match_enumeration():
                 if step == len(order):
                     break
                 i = order[step]
-                saved.append((list(board.boxes), dict(board.cursor), grid))
+                saved.append((list(board.boxes), list(board.grids)))
                 board.place(i, p.placed_rect(i).box)
                 current = current.with_placement(i, p.placements[i])
             for i in reversed(order):
                 board.unplace(i)
-                boxes, cursor, grid = saved.pop()
-                assert (board.boxes, board.cursor, board.grids[-1]) == (boxes, cursor, grid)
+                boxes, grids = saved.pop()
+                assert (board.boxes, board.grids) == (boxes, grids)
                 placed = [b for b in boxes if b is not None]
-                assert grid == _grid(placed, c.width, c.height)
-            assert not any(board.cursor.values()) and len(board.grids) == 1
+                assert grids[-1] == _grid(placed, c.width, c.height)
+            assert not any(board.boxes) and len(board.grids) == 1
+            assert board.order == given
 
 
 def test_pruned_scan_drops_exactly_the_dominated_corners():

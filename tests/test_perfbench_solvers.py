@@ -3,15 +3,16 @@
 ``crosscheck`` solves tiny instances in both pruning modes and compares
 each verdict with the brute-force oracle; ``nearmiss`` exhausts parity
 near-misses, infeasible by construction yet past ``quick_reject``, in
-both modes. Both run here through the benchmark's own run and check
-functions (``perfbench/workloads.py``, loaded read-only from its file),
-so every exhausted refutation in the slices, pruned or plain, is held
-against the oracle or the construction in the test suite, not only in
-the benchmark.
+both modes and under every rectangle order. Both run here through the
+benchmark's own configs and check functions (``perfbench/workloads.py``,
+loaded read-only from its file), so every exhausted refutation in the
+slices, pruned or plain, is held against the oracle or the construction
+in the test suite, not only in the benchmark.
 """
 
 from conftest import load_perfbench
-from cornerpack import SolveStatus
+from cornerpack import SolveStatus, solve
+from cornerpack.solver import RECT_ORDERS
 
 
 def test_seed_0_crosscheck_slice_agrees_with_the_oracle():
@@ -35,5 +36,12 @@ def test_seed_0_nearmiss_slice_is_refuted_in_both_modes():
     items = workloads.make_nearmiss(0)[::9]
     assert len(items) == 40
     for k, item in enumerate(items):
-        outcome = workloads.check_nearmiss(item, workloads.run_solve(item))
-        assert outcome.ok and outcome.decided == len(workloads.MODES), f"nearmiss item {9 * k}"
+        for order in RECT_ORDERS:
+            results = tuple(
+                solve(item.instance, workloads.solver_config(enhanced, item.budget, order))
+                for _, enhanced in workloads.MODES
+            )
+            outcome = workloads.check_nearmiss(item, results)
+            assert outcome.ok and outcome.decided == len(workloads.MODES), (
+                f"nearmiss item {9 * k}, {order} order"
+            )

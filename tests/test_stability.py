@@ -167,6 +167,25 @@ def test_compaction_trace_validates_accounting():
         CompactionTrace((), initial_l=3, final_l=-1)
 
 
+def test_apply_trace_rejects_steps_it_cannot_replay():
+    # An index outside 0..n-1 raises IndexError, as Packing.placed_rect
+    # does: -1 must not wrap around and move the last rectangle.
+    p = make_packing(6, 6, (2, 2, 0, 3), (2, 2, 3, 3))
+
+    def steps(i, direction="down"):
+        return CompactionTrace(((i, direction, 1),), 6, 5)
+
+    assert apply_trace(p, steps(1)).placements == (Placement(0, 3), Placement(3, 2))
+    for i in (-1, -2, 2):
+        with pytest.raises(IndexError):
+            apply_trace(p, steps(i))
+    with pytest.raises(ValueError, match="unknown trace direction"):
+        apply_trace(p, steps(0, "up"))
+    partial = make_packing(6, 6, (2, 2, 3, 3), (1, 1, None, None))
+    with pytest.raises(ValueError, match="unplaced rectangle 1"):
+        apply_trace(partial, CompactionTrace(((1, "left", 1),), 6, 5))
+
+
 def test_compact_properties_on_random_packings():
     rng = random.Random(6174)
     for _ in range(1_000):
