@@ -5,6 +5,12 @@ arbitrarily far up or to the right without hitting anything. Removing it
 and repeating yields an extraction order whose reverse rebuilds the
 packing one corner-occupying action at a time. This is what makes a
 solver restricted to corner placements complete.
+
+The escape search sorts the live rectangles by top-right corner once;
+each climbing step walks that list to the first rectangle over the
+current one, and peeling drops each escaper from it. A step may still
+pass most of the list, so the worst case stays quadratic, never worse
+than a scan of every rectangle per step.
 """
 
 from __future__ import annotations
@@ -47,23 +53,25 @@ class EscapeChain:
         return len(self.visited)
 
 
-def _rank(box: Box, i: int) -> tuple[int, int, int]:
-    # Top-right corner, lexicographic; lower index wins ties (disjoint
-    # rectangles cannot tie, the index term is belt and braces).
-    return (box[2], box[3], -i)
+def _ranked(live: dict[int, Box]) -> list[int]:
+    """``live``'s indices by top-right corner, highest first; the lower index
+    wins ties (disjoint boxes cannot tie, the index is belt and braces)."""
+    return sorted(live, key=lambda i: (live[i][2], live[i][3], -i), reverse=True)
 
 
-def _climb(live: dict[int, Box]) -> EscapeChain:
-    """The escape chain among ``live``, which must be non-empty and disjoint."""
-    current = max(live, key=lambda i: _rank(live[i], i))
+def _climb(live: dict[int, Box], ranked: list[int]) -> EscapeChain:
+    """The escape chain among the disjoint boxes ``ranked`` lists, which
+    must be non-empty and in :func:`_ranked` order."""
+    current = ranked[0]
     chain = [current]
     while True:
         top = live[current]
-        over = [i for i, box in live.items() if i != current and box_over(box, top)]
-        if not over:
+        # The first box over ``top`` outranks the rest; once right edges
+        # reach ``top``'s left side, no later box can be over it.
+        nxt = next((j for j in ranked if live[j][2] <= top[0] or box_over(live[j], top)), None)
+        if nxt is None or live[nxt][2] <= top[0]:
             return EscapeChain(tuple(chain))
-        nxt = max(over, key=lambda i: _rank(live[i], i))
-        if live[nxt][1] < top[3] or len(chain) >= len(live):
+        if len(chain) >= len(ranked):
             raise RuntimeError("internal contradiction: escape chain failed to climb strictly")
         current = nxt
         chain.append(current)
@@ -84,17 +92,17 @@ def find_escaper(p: Packing) -> EscapeChain:
     live = p.boxes()
     if not live:
         raise ValueError("escape search requires at least one placed rectangle")
-    return _climb(live)
+    return _climb(live, _ranked(live))
 
 
 def _peel(boxes: dict[int, Box]) -> tuple[int, ...]:
     """The extraction order of the disjoint ``boxes``, audited; see extraction_order."""
-    live = dict(boxes)
+    ranked = _ranked(boxes)
     order = []
-    while live:
-        escaper = _climb(live).escaper
+    while ranked:
+        escaper = _climb(boxes, ranked).escaper
         order.append(escaper)
-        del live[escaper]
+        ranked.remove(escaper)
     for k, earlier in enumerate(order):
         for later in order[k + 1 :]:
             if box_over(boxes[later], boxes[earlier]) or box_right_of(boxes[later], boxes[earlier]):

@@ -282,13 +282,21 @@ def total_overlap(p: Packing) -> int:
 
 
 def is_feasible(p: Packing) -> bool:
-    """True when no two placed rectangles overlap and all lie in the container."""
+    """True when no two placed rectangles overlap and all lie in the container.
+
+    Sweeps the boxes by left edge, testing each only against the later
+    ones that start before its right edge: quadratic at worst (boxes
+    stacked in shared columns), never worse than testing every pair.
+    """
     c = p.instance.container
-    placed = list(p.boxes().values())
+    placed = sorted(p.boxes().values())
     for k, a in enumerate(placed):
         if a[2] > c.width or a[3] > c.height:
             return False
-        for b in placed[k + 1 :]:
+        for m in range(k + 1, len(placed)):
+            b = placed[m]
+            if b[0] >= a[2]:
+                break
             if boxes_overlap(a, b):
                 return False
     return True

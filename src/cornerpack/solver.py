@@ -65,7 +65,7 @@ class SolverConfig:
             raise ValueError(f"rect_order must be one of {RECT_ORDERS}, got {self.rect_order!r}")
         if self.node_limit is not None and self.node_limit < 1:
             raise ValueError(f"node_limit must be positive, got {self.node_limit}")
-        if self.time_limit is not None and self.time_limit <= 0:
+        if self.time_limit is not None and not self.time_limit > 0:  # rejects NaN too
             raise ValueError(f"time_limit must be positive, got {self.time_limit}")
 
 

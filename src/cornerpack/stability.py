@@ -8,12 +8,17 @@ maximal slides; every move strictly decreases the coordinate sum, which
 bounds the number of moves and guarantees termination.
 
 Slides are measured on one box map (:meth:`Packing.boxes`), derived once
-per call; :func:`compact` moves its boxes in place and builds the result
-packing at the end.
+per call, and on two sorted ``(edge, index)`` lists of its top and right
+edges. A down (left) slide bisects to the tops (rights) at or below its
+bottom (left) side and walks down to the first box it is over (right
+of); :func:`compact` re-files only the edge a move changed. The worst
+case stays quadratic (many lower tops sharing none of the box's
+columns), never worse than a scan of the whole map.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 from .geometry import Box, Packing, Placement, box_over, box_right_of, is_feasible, l_value
@@ -52,23 +57,38 @@ class CompactionTrace:
         return self.initial_l - self.final_l
 
 
-def _slide(boxes: dict[int, Box], i: int, direction: str) -> int:
+# Per direction: the moving side of a box and the side of a blocker it stops at.
+_AXES = {DOWN: (1, 3), LEFT: (0, 2)}
+
+
+def _index(p: Packing) -> tuple[dict[int, Box], dict[str, list[tuple[int, int]]]]:
+    """``p``'s box map and, per direction, the sorted ``(edge, index)`` stops."""
+    boxes = p.boxes()
+    return boxes, {d: sorted((b[high], j) for j, b in boxes.items()) for d, (_, high) in _AXES.items()}
+
+
+def _slide(boxes: dict[int, Box], edges: dict[str, list], i: int, direction: str) -> int:
     """How far box ``i`` can move down or left before a border or another box stops it."""
-    rel, low, high = (box_over, 1, 3) if direction == DOWN else (box_right_of, 0, 2)
-    blocks = [b[high] for j, b in boxes.items() if j != i and rel(boxes[i], b)]
-    return boxes[i][low] - max(blocks, default=0)
+    rel = box_over if direction == DOWN else box_right_of
+    low, box, filed = _AXES[direction][0], boxes[i], edges[direction]
+    # Box i's own edge lies beyond its moving side, so the walk skips it.
+    for k in range(bisect_left(filed, (box[low] + 1,)) - 1, -1, -1):
+        edge, j = filed[k]
+        if rel(box, boxes[j]):
+            return box[low] - edge
+    return box[low]
 
 
 def max_down_slide(i: int, p: Packing) -> int:
     """Largest distance rectangle ``i`` can move straight down."""
     p.placed_rect(i)  # IndexError or ValueError unless rectangle i is placed
-    return _slide(p.boxes(), i, DOWN)
+    return _slide(*_index(p), i, DOWN)
 
 
 def max_left_slide(i: int, p: Packing) -> int:
     """Largest distance rectangle ``i`` can move straight left."""
     p.placed_rect(i)  # IndexError or ValueError unless rectangle i is placed
-    return _slide(p.boxes(), i, LEFT)
+    return _slide(*_index(p), i, LEFT)
 
 
 def _moved(pl: Placement, direction: str, distance: int) -> Placement:
@@ -87,8 +107,8 @@ def is_bottom_left_stable_rect(i: int, p: Packing) -> bool:
 
 def is_bottom_left_stable(p: Packing) -> bool:
     """True when every placed rectangle is bottom-left stable."""
-    boxes = p.boxes()
-    return all(_slide(boxes, i, DOWN) == 0 and _slide(boxes, i, LEFT) == 0 for i in boxes)
+    boxes, edges = _index(p)
+    return all(_slide(boxes, edges, i, DOWN) == 0 and _slide(boxes, edges, i, LEFT) == 0 for i in boxes)
 
 
 def compact(p: Packing) -> tuple[Packing, CompactionTrace]:
@@ -108,7 +128,7 @@ def compact(p: Packing) -> tuple[Packing, CompactionTrace]:
         raise InfeasiblePackingError("cannot compact an infeasible packing")
 
     initial = l_value(p)
-    boxes = p.boxes()
+    boxes, edges = _index(p)
     steps: list[tuple[int, str, int]] = []
 
     moved = True
@@ -116,11 +136,15 @@ def compact(p: Packing) -> tuple[Packing, CompactionTrace]:
         moved = False
         for i in sorted(boxes, key=lambda i: (boxes[i][1], boxes[i][0])):
             for direction in (DOWN, LEFT):
-                d = _slide(boxes, i, direction)
+                d = _slide(boxes, edges, i, direction)
                 if d > 0:
                     dx, dy = (0, d) if direction == DOWN else (d, 0)
                     x1, y1, x2, y2 = boxes[i]
                     boxes[i] = (x1 - dx, y1 - dy, x2 - dx, y2 - dy)
+                    # Of the filed edges only its top (right) one moved.
+                    high, filed = _AXES[direction][1], edges[direction]
+                    del filed[bisect_left(filed, (boxes[i][high] + d, i))]
+                    insort(filed, (boxes[i][high], i))
                     steps.append((i, direction, d))
                     moved = True
 

@@ -74,6 +74,15 @@ def test_solve_flag_variants_keep_verdicts(workdir, capsys):
         capsys.readouterr()
 
 
+def test_invalid_time_limits_exit_three(workdir, capsys):
+    _, write = workdir
+    path = write("inst.json", FEASIBLE_INSTANCE)
+    for value in ("nan", "0", "-1"):
+        assert main(["solve", "--time-limit", value, path]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "time_limit" in err
+
+
 def test_missing_and_malformed_inputs_exit_three(workdir, capsys):
     tmp, write = workdir
     assert main(["solve", str(tmp / "absent.json")]) == 3

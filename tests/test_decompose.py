@@ -21,6 +21,7 @@ from cornerpack import (
     free_directions,
     placement_order,
 )
+from cornerpack.geometry import box_over
 
 
 # --- find_escaper ---
@@ -81,6 +82,46 @@ def test_escaper_properties_on_random_packings():
         ys = [p.placed_rect(i).y for i in chain.visited]
         assert all(a < b for a, b in zip(ys, ys[1:]))
         assert free_directions(chain.escaper, p) == {UP, RIGHT}
+
+
+def _reference_chain(live):
+    """The escape chain by its linear-scan definition: start at the box with
+    the highest rank (top-right corner, then lower index), then step to the
+    highest-ranked box over the current one until none is."""
+    rank = lambda i: (live[i][2], live[i][3], -i)
+    chain = [max(live, key=rank)]
+    while over := [i for i, b in live.items() if box_over(b, live[chain[-1]])]:
+        chain.append(max(over, key=rank))
+    return tuple(chain)
+
+
+def _reference_extraction(boxes):
+    """The extraction order by the same definition, and how many of its
+    chains took at least one step."""
+    live, order, climbs = dict(boxes), [], 0
+    while live:
+        chain = _reference_chain(live)
+        climbs += len(chain) > 1
+        order.append(chain[-1])
+        del live[chain[-1]]
+    return tuple(order), climbs
+
+
+def test_escape_climb_and_extraction_match_the_linear_scan_definition():
+    rng = random.Random(31337)
+    packings = [random_complete_packing(rng, max_side=14, max_n=12) for _ in range(300)]
+    packings += [random_loose_packing(rng, max_side=14, max_n=12) for _ in range(300)]
+    for n, side in ((30, 10), (60, 14), (120, 20)):
+        packings += [doubled_tiling(rng, side, n) for _ in range(3)]
+    climbs = rotated = 0
+    for p in packings:
+        rotated += any(pl.rotated for pl in p.placements if pl is not None)
+        boxes = p.boxes()
+        assert find_escaper(p).visited == _reference_chain(boxes)
+        order, steps = _reference_extraction(boxes)
+        assert extraction_order(p) == order
+        climbs += steps
+    assert climbs > 500 and rotated > 100
 
 
 # --- extraction_order ---

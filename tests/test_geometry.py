@@ -16,6 +16,7 @@ from cornerpack import (
     Placement,
     RectDims,
     free_directions,
+    guillotine_layout,
     is_feasible,
     is_over,
     is_right_of,
@@ -164,6 +165,26 @@ def test_total_overlap_zero_iff_feasible_fuzz():
                 assert boxes_overlap(boxes[i], boxes[j]) == (overlap_area(rects[i], rects[j]) > 0)
         agree += 1
     assert agree == 10_000
+    # Up to 15 rectangles in containers up to 12x12: guillotine tilings,
+    # with up to two rectangles nudged or turned, reach the left-edge
+    # sweep's early stop and its ties on the left edge.
+    verdicts = []
+    for _ in range(4_000):
+        container = Container(rng.randint(1, 12), rng.randint(1, 12))
+        n = rng.randint(1, min(15, container.area))
+        layout = guillotine_layout(container, n, rng)
+        placements = list(layout.placements)
+        for i in rng.sample(range(n), min(n, rng.randint(0, 2))):
+            pl = placements[i]
+            placements[i] = Placement(
+                max(0, pl.x + rng.randint(-2, 2)),
+                max(0, pl.y + rng.randint(-2, 2)),
+                pl.rotated != (rng.random() < 0.3),
+            )
+        p = Packing(layout.instance, placements)
+        assert (total_overlap(p) == 0) == is_feasible(p)
+        verdicts.append(is_feasible(p))
+    assert 1_000 < sum(verdicts) < 3_000
 
 
 # --- is_over / is_right_of ---

@@ -7,8 +7,11 @@ import pytest
 from cornerpack import (
     Container,
     Instance,
+    Packing,
     Placement,
     RectDims,
+    SolveResult,
+    SolveStats,
     SolveStatus,
     SolverConfig,
     certify,
@@ -56,6 +59,9 @@ def test_config_validation():
         SolverConfig(node_limit=0)
     with pytest.raises(ValueError):
         SolverConfig(time_limit=0.0)
+    for bad in (float("nan"), -1.0, float("-inf")):
+        with pytest.raises(ValueError):
+            SolverConfig(time_limit=bad)
 
 
 def test_quick_reject_area():
@@ -189,6 +195,32 @@ def test_deep_search_does_not_hit_the_recursion_limit():
     assert result.status is SolveStatus.FEASIBLE
     assert result.stats.max_depth == 1000
     assert certify(instance, result)
+
+
+def test_certify_on_a_long_row_makes_linear_box_tests(monkeypatch):
+    # 1,000 unit squares side by side in a 1100x1 container: every box test
+    # of the feasibility sweep and the stability slides is counted. A scan
+    # of every pair and every box per slide makes 2,497,500.
+    from cornerpack import geometry, stability
+
+    n = 1000
+    instance = inst(1100, 1, *[(1, 1)] * n)
+    packing = Packing(instance, tuple(Placement(x, 0) for x in range(n)))
+    result = SolveResult(SolveStatus.FEASIBLE, packing, SolveStats(n, n, 0.0))
+    calls = [0]
+
+    def counted(predicate):
+        def wrapper(a, b):
+            calls[0] += 1
+            return predicate(a, b)
+
+        return wrapper
+
+    monkeypatch.setattr(geometry, "boxes_overlap", counted(geometry.boxes_overlap))
+    for name in ("box_over", "box_right_of"):
+        monkeypatch.setattr(stability, name, counted(getattr(stability, name)))
+    assert certify(instance, result)
+    assert 0 < calls[0] <= 2 * n
 
 
 def test_search_cost_does_not_grow_with_coordinates():

@@ -26,6 +26,7 @@ from cornerpack import (
     max_left_slide,
     placement_order,
 )
+from cornerpack.geometry import box_over, box_right_of
 
 
 # --- slides ---
@@ -213,11 +214,20 @@ def test_compact_properties_on_random_packings():
 # --- one box map: same answers as slide-by-slide, a fixed number of box derivations ---
 
 
+def _reference_slide(p, i, direction):
+    """How far rectangle ``i`` can move down or left, by a scan of every other box."""
+    boxes = p.boxes()
+    rel, low, high = (box_over, 1, 3) if direction == "down" else (box_right_of, 0, 2)
+    blocks = [b[high] for j, b in boxes.items() if j != i and rel(boxes[i], b)]
+    return boxes[i][low] - max(blocks, default=0)
+
+
 def _reference_compact(p):
-    """Compaction spelled out through the public per-rectangle slides.
+    """Compaction spelled out slide by slide, independent of the edge lists.
 
     Same sweep as :func:`compact` (increasing (y, x), down then left, until
-    a sweep moves nothing), but every slide is measured on a fresh packing.
+    a sweep moves nothing), but every slide is measured on a fresh packing
+    by :func:`_reference_slide`.
     """
     initial, current, steps = l_value(p), p, []
     moved = True
@@ -225,8 +235,8 @@ def _reference_compact(p):
         moved = False
         pls = current.placements
         for i in sorted(current.placed_indices(), key=lambda i: (pls[i].y, pls[i].x)):
-            for direction, slide in (("down", max_down_slide), ("left", max_left_slide)):
-                d = slide(i, current)
+            for direction in ("down", "left"):
+                d = _reference_slide(current, i, direction)
                 if d > 0:
                     pl = current.placements[i]
                     dx, dy = (0, d) if direction == "down" else (d, 0)
@@ -248,11 +258,15 @@ def _differential_packings():
 
 
 def test_compact_matches_slide_by_slide_reference():
-    rotated = 0
+    rotated = moving = 0
     for p in _differential_packings():
         rotated += any(pl.rotated for pl in p.placements if pl is not None)
         assert compact(p) == _reference_compact(p)
-    assert rotated > 100
+        for i in p.placed_indices():
+            down, left = max_down_slide(i, p), max_left_slide(i, p)
+            assert (down, left) == (_reference_slide(p, i, "down"), _reference_slide(p, i, "left"))
+            moving += down > 0 or left > 0
+    assert rotated > 100 and moving > 1_000
 
 
 def test_packing_stability_is_every_rectangle_stable():
