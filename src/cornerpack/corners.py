@@ -5,13 +5,15 @@ orientation at which the shape fits inside the container, overlaps
 nothing, and is bottom-left stable the moment it is placed. Placing a
 rectangle onto such a corner is the only move the exact solver performs.
 
-One bitboard scan, :func:`_corner_scan`, decides that test, on the grid
-of the placed boxes' distinct edges (:func:`_grid`), so its cost follows
-the number of rectangles, not the container's size. The search's mutable
-:class:`_Board` grows that grid by one box per placement (:func:`_grow`)
-and the scan drops dominated corners with two bit tests; enumeration and
-action validation build the grid from a :class:`Packing` and then name
-the supports from the boxes.
+One bitboard scan, :func:`_corner_scan`, enumerates the corners, on the
+grid of the placed boxes' distinct edges (:func:`_grid`), so its cost
+follows the number of rectangles, not the container's size. The search's
+mutable :class:`_Board` grows that grid by one box per placement
+(:func:`_grow`) and the scan drops dominated corners with two bit tests;
+:func:`enumerate_corners` builds the grid from a :class:`Packing`. A
+single position, such as an action's, is checked by the definition in
+:func:`_supports`, from the boxes that overlap or touch it, which also
+names its supports.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from itertools import accumulate
 from operator import or_
 from typing import Iterator
 
-from .geometry import Box, Container, Instance, Packing, Placement, RectDims, box_touches
+from .geometry import Box, Container, Instance, Packing, Placement, RectDims
+from .geometry import box_touches, boxes_overlap
 
 
 class Border(Enum):
@@ -187,33 +190,25 @@ def _positions(
     return sorted(found + turned, key=lambda hit: (hit[0][1], hit[0][0], hit[1]))
 
 
-def _support_names(boxes: dict[int, Box], target: Box) -> tuple[Support, Support]:
-    """The supports of a corner at ``target``: on each side the lowest-indexed
-    box touching it, whatever the map's order, or the border where none can
-    (at coordinate zero)."""
-    left = [j for j, b in boxes.items() if box_touches(b, target, True)]
-    bottom = [j for j, b in boxes.items() if box_touches(b, target, False)]
-    return min(left, default=LEFT_BORDER), min(bottom, default=BOTTOM_BORDER)
-
-
-def _corner_blockers(boxes: dict[int, Box], c: Container, target: Box) -> dict[int, Box] | None:
-    """The boxes that can overlap or block ``target`` (those meeting it grown
-    by one cell leftward and downward) when it sits on a corner, else None."""
-    x, y, x2, y2 = target
-    near = {j: b for j, b in boxes.items() if b[0] < x2 and b[2] >= x and b[1] < y2 and b[3] >= y}
-    grid = _grid(list(near.values()), c.width, c.height)
-    return near if target in _corner_scan(grid, c, x2 - x, y2 - y) else None
-
-
 def _supports(boxes: dict[int, Box], c: Container, target: Box) -> tuple[Support, Support]:
-    """The left and bottom supports of a shape placed at ``target`` among ``boxes``.
+    """The left and bottom supports of a shape placed at ``target`` among ``boxes``:
+    on each side the lowest-indexed box touching it, whatever the map's order,
+    or the border where none does.
 
-    Raises StaleCornerError when ``target`` is not a corner of ``boxes`` in ``c``.
+    Raises StaleCornerError unless ``target`` is a corner: inside ``c``,
+    overlapping no box, and blocked leftward (x == 0 or a left support) and
+    downward (y == 0 or a bottom support).
     """
-    near = _corner_blockers(boxes, c, target)
-    if near is None:
-        raise StaleCornerError(f"position ({target[0]}, {target[1]}) is not a corner")
-    return _support_names(near, target)
+    x, y, x2, y2 = target
+    # Only boxes meeting the target grown by one cell left and down can overlap or touch it.
+    near = [(j, b) for j, b in boxes.items() if b[0] < x2 and b[2] >= x and b[1] < y2 and b[3] >= y]
+    left = min((j for j, b in near if box_touches(b, target, True)), default=LEFT_BORDER)
+    bottom = min((j for j, b in near if box_touches(b, target, False)), default=BOTTOM_BORDER)
+    inside = 0 <= x and 0 <= y and x2 <= c.width and y2 <= c.height
+    blocked = (x == 0 or left is not LEFT_BORDER) and (y == 0 or bottom is not BOTTOM_BORDER)
+    if not inside or not blocked or any(boxes_overlap(b, target) for _, b in near):
+        raise StaleCornerError(f"position ({x}, {y}) is not a corner")
+    return left, bottom
 
 
 def enumerate_corners(p: Packing, shape: RectDims) -> list[Corner]:
@@ -225,13 +220,18 @@ def enumerate_corners(p: Packing, shape: RectDims) -> list[Corner]:
     c = p.instance.container
     grid = _grid(list(boxes.values()), c.width, c.height)
     return [
-        Corner(b[0], b[1], rotated, *_support_names(boxes, b))
+        Corner(b[0], b[1], rotated, *_supports(boxes, c, b))
         for b, rotated in _positions(grid, c, shape)
     ]
 
 
-def _check_action(p: Packing, a: CornerAction) -> None:
-    """Validate that an action still denotes a corner of ``p``."""
+def apply_action(p: Packing, a: CornerAction) -> Packing:
+    """Execute a corner-occupying action on a partial packing.
+
+    The action is re-validated against ``p`` first; a corner computed for
+    an earlier state of the search raises :class:`StaleCornerError`
+    instead of silently producing a broken packing.
+    """
     i = a.rect_index
     if i < 0 or i >= p.instance.n:
         raise StaleCornerError(f"rectangle index {i} out of range")
@@ -243,8 +243,7 @@ def _check_action(p: Packing, a: CornerAction) -> None:
     x, y = corner.x, corner.y
     boxes = p.boxes()
     target = (x, y, x + ew, y + eh)
-    if _corner_blockers(boxes, p.instance.container, target) is None:
-        raise StaleCornerError(f"({x}, {y}) is not a corner for rectangle {i}")
+    _supports(boxes, p.instance.container, target)
     for side, support, border, at_zero in (
         ("left", corner.left_support, LEFT_BORDER, x == 0),
         ("bottom", corner.bottom_support, BOTTOM_BORDER, y == 0),
@@ -256,17 +255,7 @@ def _check_action(p: Packing, a: CornerAction) -> None:
             raise StaleCornerError(f"{side} support {support} is not a placed rectangle")
         elif not box_touches(boxes[support], target, side == "left"):
             raise StaleCornerError(f"rectangle {support} no longer supports ({x}, {y})")
-
-
-def apply_action(p: Packing, a: CornerAction) -> Packing:
-    """Execute a corner-occupying action on a partial packing.
-
-    The action is re-validated against ``p`` first; a corner computed for
-    an earlier state of the search raises :class:`StaleCornerError`
-    instead of silently producing a broken packing.
-    """
-    _check_action(p, a)
-    return p.with_placement(a.rect_index, Placement(a.corner.x, a.corner.y, a.corner.rotated))
+    return p.with_placement(i, Placement(x, y, corner.rotated))
 
 
 def supporting_rects(p: Packing, i: int) -> set[int]:

@@ -171,7 +171,7 @@ def placement_order(p: Packing) -> PlacementOrder:
     The reverse of the extraction order works: whatever was extracted
     later gets placed earlier, and its supports are always among the
     rectangles placed before it. The packing's boxes are derived once.
-    Each action is validated once during construction, by the corner scan
+    Each action is validated once during construction, by the corner check
     that names its supports among the boxes placed so far; that no box is
     over or right of a later-placed one is the extraction order's audit.
 

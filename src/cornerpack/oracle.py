@@ -22,7 +22,7 @@ class OracleLimits:
     max_states: int = 10**8
 
     def __post_init__(self):
-        if self.max_states < 1:
+        if not self.max_states >= 1:  # rejects NaN too
             raise ValueError(f"max_states must be positive, got {self.max_states}")
 
 

@@ -63,7 +63,7 @@ class SolverConfig:
     def __post_init__(self):
         if self.rect_order not in RECT_ORDERS:
             raise ValueError(f"rect_order must be one of {RECT_ORDERS}, got {self.rect_order!r}")
-        if self.node_limit is not None and self.node_limit < 1:
+        if self.node_limit is not None and not self.node_limit >= 1:  # rejects NaN too
             raise ValueError(f"node_limit must be positive, got {self.node_limit}")
         if self.time_limit is not None and not self.time_limit > 0:  # rejects NaN too
             raise ValueError(f"time_limit must be positive, got {self.time_limit}")

@@ -23,7 +23,8 @@ from cornerpack import (
     oracle_corners,
     supporting_rects,
 )
-from cornerpack.corners import _Board, _grid, _positions
+from cornerpack.corners import _Board, _grid, _positions, _supports
+from cornerpack.geometry import box_touches
 from cornerpack.solver import _dominated
 
 
@@ -131,25 +132,42 @@ def test_apply_action_rejects_out_of_range_support_index():
 
 
 def test_apply_action_agrees_with_oracle_corners():
-    # Positions the brute-force oracle does not list are rejected whatever
-    # supports are named; listed ones are accepted with the enumerated
-    # supports.
+    # Positions the brute-force oracle does not list, out to one cell past
+    # every border, are rejected by the single-position check and by
+    # apply_action whatever supports are named; listed ones are accepted
+    # with the enumerated supports. Those name, on each side, the
+    # lowest-indexed box touching the corner, else the border.
     rng = random.Random(4242)
     for _ in range(200):
         p = random_partial_packing(rng, max_side=5, max_n=5)
         c = p.instance.container
+        boxes = p.boxes()
         choices = [LEFT_BORDER, BOTTOM_BORDER, *p.placed_indices()]
         for i in p.unplaced_indices():
             shape = p.instance.rects[i]
+            dims = {False: (shape.width, shape.height), True: (shape.height, shape.width)}
             listed = set(oracle_corners(p, shape))
             enumerated = {corner.position: corner for corner in enumerate_corners(p, shape)}
             assert set(enumerated) == listed
-            for x in range(c.width):
-                for y in range(c.height):
+            for x in range(-1, c.width + 1):
+                for y in range(-1, c.height + 1):
                     for rotated in (False,) if shape.is_square else (False, True):
+                        ew, eh = dims[rotated]
+                        box = (x, y, x + ew, y + eh)
                         if (x, y, rotated) in listed:
-                            apply_action(p, CornerAction(i, enumerated[x, y, rotated]))
+                            corner = enumerated[x, y, rotated]
+                            lefts = [j for j, b in boxes.items() if box_touches(b, box, True)]
+                            bottoms = [j for j, b in boxes.items() if box_touches(b, box, False)]
+                            assert corner.left_support == min(lefts, default=LEFT_BORDER)
+                            assert corner.bottom_support == min(bottoms, default=BOTTOM_BORDER)
+                            assert _supports(boxes, c, box) == (
+                                corner.left_support,
+                                corner.bottom_support,
+                            )
+                            apply_action(p, CornerAction(i, corner))
                             continue
+                        with pytest.raises(StaleCornerError):
+                            _supports(boxes, c, box)
                         for left in choices:
                             for bottom in choices:
                                 corner = Corner(x, y, rotated, left, bottom)

@@ -61,8 +61,9 @@ def test_oracle_decision_is_permutation_invariant():
 
 
 def test_oracle_limits_validation():
-    with pytest.raises(ValueError):
-        OracleLimits(max_states=0)
+    for bad in (0, float("nan"), -1.0, float("-inf")):
+        with pytest.raises(ValueError):
+            OracleLimits(max_states=bad)
 
 
 def test_oracle_capacity_error_instead_of_wrong_answer():

@@ -55,8 +55,9 @@ def test_empty_instance_is_feasible():
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(rect_order="biggest")
-    with pytest.raises(ValueError):
-        SolverConfig(node_limit=0)
+    for bad in (0, float("nan"), -1.0, float("-inf")):
+        with pytest.raises(ValueError):
+            SolverConfig(node_limit=bad)
     with pytest.raises(ValueError):
         SolverConfig(time_limit=0.0)
     for bad in (float("nan"), -1.0, float("-inf")):
