@@ -5,7 +5,9 @@ Deciding feasibility exactly, with and without pruning
 The solver's only move is placing a rectangle onto a bottom-left corner,
 which is enough to find a packing whenever one exists. The enhanced mode
 additionally skips placements that leave the new rectangle under or left
-of an existing one. Its search tree is a subset of the plain one, so it is
+of an existing one, and placements after which the free area that can no
+longer be covered exceeds the container's spare area. Its search tree is
+a subset of the plain one, so it is
 never larger and the verdict never changes. The search stops at the first
 packing it finds, though, so on a feasible instance the pruned search can
 expand more nodes than the plain one.
@@ -44,9 +46,9 @@ report(Instance(Container(4, 4), (RectDims(2, 4), RectDims(2, 4))), "perfect spl
 # Two 2x2 blocks cannot share a 3x3 container; the search proves it.
 report(Instance(Container(3, 3), (RectDims(2, 2), RectDims(2, 2))), "provably impossible")
 
-# Here pruning costs three extra nodes: the plain search stumbles into a
+# Here pruning costs one extra node: the plain search stumbles into a
 # solution inside a subtree the enhanced search refuses to enter.
 report(
-    Instance(Container(4, 3), (RectDims(2, 1), RectDims(2, 2), RectDims(3, 1), RectDims(2, 1))),
+    Instance(Container(5, 4), (RectDims(1, 2), RectDims(2, 3), RectDims(2, 3), RectDims(2, 3))),
     "pruning is not a free lunch",
 )

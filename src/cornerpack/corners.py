@@ -9,11 +9,12 @@ One bitboard scan, :func:`_corner_scan`, enumerates the corners, on the
 grid of the placed boxes' distinct edges (:func:`_grid`), so its cost
 follows the number of rectangles, not the container's size. The search's
 mutable :class:`_Board` grows that grid by one box per placement
-(:func:`_grow`) and the scan drops dominated corners with two bit tests;
-:func:`enumerate_corners` builds the grid from a :class:`Packing`. A
-single position, such as an action's, is checked by the definition in
-:func:`_supports`, from the boxes that overlap or touch it, which also
-names its supports.
+(:func:`_grow`). In enhanced mode the scan drops dominated corners with
+two bit tests, then the corners that would leave more dead area than
+the instance's slack (:func:`_kills`); :func:`enumerate_corners` builds
+the grid from a :class:`Packing`. A single position, such as an
+action's, is checked by the definition in :func:`_supports`, from the
+boxes that overlap or touch it, which also names its supports.
 """
 
 from __future__ import annotations
@@ -125,20 +126,27 @@ def _grow(grid: Grid, box: Box) -> Grid:
     return xs, ys, rows
 
 
-def _corner_scan(grid: Grid, c: Container, ew: int, eh: int, prune: bool = False) -> list[Box]:
-    """The boxes at which an ew x eh shape sits on a corner of ``grid``.
+def _corner_scan(
+    grid: Grid, c: Container, ew: int, eh: int, rotated: bool = False,
+    prune: bool = False, budget: int | None = None,
+) -> list[tuple[Box, bool, int]]:
+    """The boxes at which an ew x eh shape sits on a corner of ``grid``, as
+    ``(box, rotated, dead)`` hits sorted by (y, x).
 
     A corner is a position where the shape fits in the container, covers
     no occupied cell, and is blocked leftward (x == 0, or an occupied cell
     just left of it) and downward (y == 0, or one just below it). Such a
     cell belongs to a box whose edge is the shape's edge, so this is the
-    box-contact test. Hits are sorted by (y, x).
+    box-contact test.
 
     With ``prune``, a corner is dropped when some box would be over the
     shape or right of it (``box_over``/``box_right_of``). The shape
     overlaps nothing there, so a covered cell in the shape's columns at or
     above its top, or in its rows at or beyond its right edge, can only
-    belong to such a box.
+    belong to such a box. With a ``budget`` too, a corner is dropped when
+    the new box would kill more than ``budget`` of free area
+    (:func:`_kills`); ``dead`` is the area a kept box kills, and 0 without
+    a budget.
     """
     xs, ys, rows = grid
     above = None  # with prune, the OR of rows[k:] for each k, built at the first test
@@ -160,31 +168,89 @@ def _corner_scan(grid: Grid, c: Container, ew: int, eh: int, prune: bool = False
             low = starts & -starts
             starts ^= low
             x = xs[low.bit_length() - 1]
-            if x + ew > c.width:
+            x2 = x + ew
+            if x2 > c.width:
                 break
-            right = bisect_left(xs, x + ew)
+            right = bisect_left(xs, x2)
             span = (1 << right) - low
             if band & span or not below & span:
                 continue
+            dead = 0
             if prune:
                 above = above or [*accumulate(reversed(rows), or_)][::-1] + [0]
                 if above[top] & span or band >> right:
                     continue
-            out.append((x, y, x + ew, y2))
+                if budget is not None:
+                    dead = _kills(grid, above, k, top, low, right, x2, y2, budget)
+                    if dead > budget:
+                        continue
+            out.append(((x, y, x2, y2), rotated, dead))
     return out
 
 
+def _kills(
+    grid: Grid, above: list[int], k: int, top: int, low: int, right: int, x2: int, y2: int,
+    budget: int,
+) -> int:
+    """The free area that a box on grid rows [k, top) and columns from bit
+    ``low`` to ``right`` kills, or a partial sum past ``budget``.
+
+    Under enhanced pruning no box goes under or left of a placed one, so a
+    free cell with a covered cell above it in its column, or right of it in
+    its row, stays free: it is dead. A box that no placed box is over or
+    right of kills the free cells below it in its columns, down to the
+    first covered cell, that no covered cell is right of, and the free
+    cells left of it in its rows, back to the first covered cell, that no
+    covered cell (``above[r + 1]``, the OR of the rows over row r) is over.
+    Nothing is over the first kind or right of the second, or the box
+    would be too. The box's right edge ``x2`` and top edge ``y2`` clip its
+    last column and top row.
+    """
+    xs, ys, rows = grid
+    area = 0
+    below = (1 << right) - low  # the box's columns still free going down
+    for r in range(k - 1, -1, -1):
+        row = rows[r]
+        below &= ~row
+        if not below:
+            break
+        if new := below & -(1 << row.bit_length()):
+            width = _width(xs, new) - (xs[right] - x2 if new >> (right - 1) else 0)
+            area += width * (ys[r + 1] - ys[r])
+            if area > budget:
+                return area
+    for r in range(k, top):
+        left = low - (1 << (rows[r] & (low - 1)).bit_length())  # free run left of the box
+        if new := left & ~above[r + 1]:
+            area += _width(xs, new) * ((ys[r + 1] if r + 1 < top else y2) - ys[r])
+            if area > budget:
+                return area
+    return area
+
+
+def _width(xs: list[int], bits: int) -> int:
+    """The summed width of the grid columns set in ``bits``, one run at a time."""
+    width = 0
+    while bits:
+        low = bits & -bits
+        rest = bits + low  # the lowest run carried away
+        width += xs[(bits & ~rest).bit_length()] - xs[low.bit_length() - 1]
+        bits &= rest
+    return width
+
+
 def _positions(
-    grid: Grid, c: Container, shape: RectDims, prune: bool = False
-) -> list[tuple[Box, bool]]:
-    """Every corner of ``shape`` as ``(box, rotated)``, sorted by (y, x, rotated).
+    grid: Grid, c: Container, shape: RectDims, prune: bool = False, budget: int | None = None
+) -> list[tuple[Box, bool, int]]:
+    """Every corner of ``shape`` as ``(box, rotated, dead)``, sorted by (y, x, rotated);
+    ``prune`` and ``budget`` prune as in :func:`_corner_scan`.
 
     A square is scanned in one orientation, since rotating it changes nothing.
     """
-    found = [(box, False) for box in _corner_scan(grid, c, shape.width, shape.height, prune)]
+    found = _corner_scan(grid, c, shape.width, shape.height, False, prune, budget)
     if shape.is_square:
         return found
-    turned = [(box, True) for box in _corner_scan(grid, c, shape.height, shape.width, prune)]
+    turned = _corner_scan(grid, c, shape.height, shape.width, True, prune, budget)
     if not (found and turned):
         return found or turned
     return sorted(found + turned, key=lambda hit: (hit[0][1], hit[0][0], hit[1]))
@@ -221,7 +287,7 @@ def enumerate_corners(p: Packing, shape: RectDims) -> list[Corner]:
     grid = _grid(list(boxes.values()), c.width, c.height)
     return [
         Corner(b[0], b[1], rotated, *_supports(boxes, c, b))
-        for b, rotated in _positions(grid, c, shape)
+        for b, rotated, _ in _positions(grid, c, shape)
     ]
 
 
@@ -283,8 +349,11 @@ class _Board:
     exactly when it is unplaced and ``prev[i]`` is None or placed.
     ``grids`` holds one grid per placed box and one for the empty container;
     its top is the grid of the placed boxes, grown from the one below by the
-    last placed box, or None once every rectangle is placed. :meth:`place`
-    and :meth:`unplace` are exact inverses.
+    last placed box, or None once every rectangle is placed. ``deads`` holds
+    beside each grid the free area its boxes have killed (see
+    :func:`_kills`), 0 at the root; the last box's kill is not counted, as
+    a full board is never scanned. :meth:`place` and :meth:`unplace` are
+    exact inverses.
     """
 
     def __init__(self, instance: Instance, order: list[int]) -> None:
@@ -297,27 +366,38 @@ class _Board:
             last[shape] = i
         empty: Grid = ([0, self.container.width], [0, self.container.height], [0])
         self.grids: list[Grid | None] = [empty]
+        self.deads = [0]
 
-    def place(self, i: int, box: Box) -> None:
+    def place(self, i: int, box: Box, dead: int = 0) -> None:
+        """Place rectangle i at ``box``, which kills ``dead`` more free area."""
         self.boxes[i] = box
         full = len(self.grids) == len(self.boxes)  # nothing is ever scanned on a full board
         self.grids.append(None if full else _grow(self.grids[-1], box))
+        self.deads.append(self.deads[-1] + dead)
 
     def unplace(self, i: int) -> None:
         self.boxes[i] = None
         self.grids.pop()
+        self.deads.pop()
 
-    def moves(self, prune: bool) -> Iterator[tuple[int, Box, bool]]:
-        """The corner placements ``(i, box, rotated)`` out of the current state, lazily.
+    def moves(self, slack: int | None) -> Iterator[tuple[int, Box, bool, int]]:
+        """The corner placements ``(i, box, rotated, dead)`` out of the current
+        state, lazily.
 
         Each class's next member, in ``order``, goes onto each of its
         corners in (y, x, rotated) order; permuting identical shapes never
-        gives a new packing. ``prune`` drops the corners that would leave
-        the new box under or left of a placed one. Resume only in the state
-        the iterator began in.
+        gives a new packing. A ``slack`` (container area minus rectangle
+        area) turns on enhanced pruning: it drops the corners that would
+        leave the new box under or left of a placed one, or leave more dead
+        area than ``slack``, since no completion covers a dead cell. Resume
+        only in the state the iterator began in.
         """
         c, grid, boxes, prev = self.container, self.grids[-1], self.boxes, self.prev
+        prune = slack is not None
+        # The last box can kill no more than the slack left, since every
+        # other free cell is spare then, so its walk is skipped.
+        budget = slack - self.deads[-1] if prune and len(self.grids) < len(boxes) else None
         for i in self.order:
             if boxes[i] is None and (prev[i] is None or boxes[prev[i]] is not None):
-                for box, rotated in _positions(grid, c, self.rects[i], prune):
-                    yield i, box, rotated
+                for box, rotated, dead in _positions(grid, c, self.rects[i], prune, budget):
+                    yield i, box, rotated, dead

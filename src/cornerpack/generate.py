@@ -21,25 +21,31 @@ def _split(x: int, y: int, w: int, h: int, k: int, rng: random.Random, out: list
         out.append((x, y, w, h))
         return
     # Every (axis, cut, k1) with both sides able to host their share of
-    # leaves; non-empty whenever k <= w*h, since area splits additively.
-    # They are counted per cut, not listed: randrange(total) draws the rank
-    # in (axis, cut, k1) order that choice() would draw on the list.
-    ranges = []
-    for axis, side, other in (("v", w, h), ("h", h, w)):
+    # leaves: k1 runs from k - (side - cut) * other, at least 1, to
+    # cut * other, at most k - 1, and no cut is empty since 2 <= k <= w*h.
+    # They are counted per cut, vertical cuts first, not listed:
+    # randrange(total) draws the rank in (axis, cut, k1) order that
+    # choice() would draw on the list.
+    sizes = []
+    for side, other in ((w, h), (h, w)):
         for cut in range(1, side):
-            lo = max(1, k - (side - cut) * other)
-            if (size := min(k - 1, cut * other) - lo + 1) > 0:
-                ranges.append((axis, cut, lo, size))
-    rank = rng.randrange(sum(r[3] for r in ranges))
-    for axis, cut, lo, size in ranges:
+            lo = k - (side - cut) * other
+            hi = cut * other
+            sizes.append((hi if hi < k else k - 1) - (lo if lo > 1 else 1) + 1)
+    rank = rng.randrange(sum(sizes))
+    for cut, size in enumerate(sizes, 1):
         if rank < size:
             break
         rank -= size
-    k1 = lo + rank
-    if axis == "v":
+    if cut < w:
+        lo = k - (w - cut) * h
+        k1 = (lo if lo > 1 else 1) + rank
         _split(x, y, cut, h, k1, rng, out)
         _split(x + cut, y, w - cut, h, k - k1, rng, out)
     else:
+        cut -= w - 1
+        lo = k - (h - cut) * w
+        k1 = (lo if lo > 1 else 1) + rank
         _split(x, y, w, cut, k1, rng, out)
         _split(x, y + cut, w, h - cut, k - k1, rng, out)
 

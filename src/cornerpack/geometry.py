@@ -12,6 +12,7 @@ and edge contact. Other layers call these box predicates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 UP = "up"
@@ -150,8 +151,9 @@ class Instance:
     def n(self) -> int:
         return len(self.rects)
 
-    @property
+    @cached_property
     def total_rect_area(self) -> int:
+        # Read by quick_reject and by each solve's slack; an instance is frozen.
         return sum(r.area for r in self.rects)
 
 

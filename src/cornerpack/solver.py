@@ -9,9 +9,11 @@ feasible packing into a stable one.
 The search runs on an explicit stack, so Python's recursion limit does
 not bound its depth, over one mutable board (:class:`corners._Board`).
 Each node scans its corners once, on a bitboard of the placed boxes'
-distinct edges that the board grows by one box per placement; enhanced
-pruning is two bit tests inside that scan, not a check per child. A
-child is placed on the board and later taken off, never re-validated.
+distinct edges that the board grows by one box per placement. Enhanced
+pruning happens inside that scan, not as a check per child: two bit
+tests for dominance, then a walk that adds up the free area the new box
+would leave dead, against the instance's slack. A child is placed on
+the board and later taken off, never re-validated.
 Frozen packings and validated actions stay at the API boundary: the
 result packing is built once, from the path.
 """
@@ -47,9 +49,12 @@ class SolverConfig:
     index). ``enhanced_pruning`` skips placements that would leave the new
     rectangle under, or to the left of, an already placed one; the search
     stays complete because every stable packing admits a build order in
-    which that never happens. Pruning only removes branches, so the pruned
-    search tree is a subset of the plain one: never larger, and with the
-    same verdict. The search stops at its first solution, though, so on a
+    which that never happens. Under that rule a free cell with a placed
+    rectangle over it or right of it can never be covered, so enhanced
+    pruning also skips placements after which such dead area exceeds the
+    slack (container area minus rectangle area). Pruning only removes
+    branches, so the pruned search tree is a subset of the plain one:
+    never larger, and with the same verdict. The search stops at its first solution, though, so on a
     feasible instance the pruned search can expand more nodes than the
     plain one, which may find a packing inside a pruned subtree. Limits,
     when hit, yield status UNKNOWN.
@@ -121,9 +126,10 @@ def _order_key(config: SolverConfig, instance: Instance):
 def _dominated(boxes: list[Box | None], new: Box) -> bool:
     """True when some placed box is over or right of the box ``new``.
 
-    The reference definition of enhanced pruning. The search itself prunes
-    inside the corner scan with two bit tests (``corners._corner_scan``);
-    tests compare that scan with this function, and the benchmark's tracer
+    The reference definition of enhanced pruning's dominance half; the
+    other half is the dead-area bound (``corners._kills``). The search
+    itself prunes inside the corner scan (``corners._corner_scan``); tests
+    compare that scan with this function, and the benchmark's tracer
     patches it here.
     """
     return any(b is not None and (box_over(b, new) or box_right_of(b, new)) for b in boxes)
@@ -136,8 +142,8 @@ def _advance(board: _Board, frames: list, path: list) -> bool:
     node is popped and the move that reached it is taken off the board.
     """
     while frames:
-        for i, box, rotated in frames[-1]:
-            board.place(i, box)
+        for i, box, rotated, dead in frames[-1]:
+            board.place(i, box, dead)
             path.append((i, box, rotated))
             return True
         frames.pop()
@@ -166,6 +172,7 @@ def solve(instance: Instance, config: SolverConfig | None = None) -> SolveResult
         )
 
     board = _Board(instance, sorted(range(instance.n), key=_order_key(config, instance)))
+    slack = instance.container.area - instance.total_rect_area if config.enhanced_pruning else None
     path: list[tuple[int, Box, bool]] = []  # (i, box, rotated) from the root down
     frames: list = []
     while True:
@@ -180,7 +187,7 @@ def solve(instance: Instance, config: SolverConfig | None = None) -> SolveResult
         if len(path) == instance.n:
             status = SolveStatus.FEASIBLE
             break
-        frames.append(board.moves(config.enhanced_pruning))
+        frames.append(board.moves(slack))
         if not _advance(board, frames, path):
             status = SolveStatus.INFEASIBLE
             break

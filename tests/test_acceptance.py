@@ -263,6 +263,46 @@ def test_criterion_6_corner_enumeration_matches_brute_force(capsys):
     assert ok, f"{len(mismatches)} mismatches, first: {mismatches[:1]}"
 
 
+def dead_area(p: Packing) -> int:
+    """Free unit cells of ``p`` with a covered cell above them in their
+    column or right of them in their row, counted cell by cell.
+
+    Enhanced pruning never places a rectangle under or left of a placed
+    one, so no completion it reaches covers such a cell.
+    """
+    c = p.instance.container
+    covered = {
+        (x, y)
+        for _, r in p.iter_placed()
+        for x in range(r.x, r.x + r.width)
+        for y in range(r.y, r.y + r.height)
+    }
+    top = [-1] * c.width  # the highest covered cell of each column
+    end = [-1] * c.height  # the rightmost covered cell of each row
+    for x, y in covered:
+        top[x] = max(top[x], y)
+        end[y] = max(end[y], x)
+    return sum(
+        (x, y) not in covered and (y < top[x] or x < end[y])
+        for x in range(c.width)
+        for y in range(c.height)
+    )
+
+
+def enhanced_drops(child: Packing, i: int, slack: int) -> bool:
+    """True when enhanced pruning drops ``child``, reached by placing
+    rectangle ``i``: a placed rectangle lies over or right of the new
+    one, or the child's dead area exceeds ``slack``."""
+    new = child.placed_rect(i)
+    return (
+        any(
+            j != i and (is_over(other, new) or is_right_of(other, new))
+            for j, other in child.iter_placed()
+        )
+        or dead_area(child) > slack
+    )
+
+
 def corner_tree_size(instance: Instance, enhanced: bool) -> int:
     """Nodes in the full corner-action search tree of ``instance``.
 
@@ -270,13 +310,16 @@ def corner_tree_size(instance: Instance, enhanced: bool) -> int:
     packing reached by corner placements counts once, complete ones
     included. As in ``solve``, only the lowest unplaced index of each
     shape (up to rotation) branches, and an enhanced child is dropped
-    when a placed rectangle lies over or right of the new one. Children
-    are all visited, so the size does not depend on ``rect_order``.
-    Instances that ``quick_reject`` refuses have an empty tree.
+    when a placed rectangle lies over or right of the new one, or when
+    its dead area exceeds the slack (container area minus rectangle
+    area). Children are all visited, so the size does not depend on
+    ``rect_order``. Instances that ``quick_reject`` refuses have an empty
+    tree.
     """
     if quick_reject(instance) is not None:
         return 0
     shapes = instance.rects
+    slack = instance.container.area - instance.total_rect_area
 
     def size(p: Packing) -> int:
         total = 1
@@ -288,11 +331,7 @@ def corner_tree_size(instance: Instance, enhanced: bool) -> int:
         for i in firsts.values():
             for corner in enumerate_corners(p, shapes[i]):
                 child = apply_action(p, CornerAction(i, corner))
-                new = child.placed_rect(i)
-                if enhanced and any(
-                    j != i and (is_over(other, new) or is_right_of(other, new))
-                    for j, other in child.iter_placed()
-                ):
+                if enhanced and enhanced_drops(child, i, slack):
                     continue
                 total += size(child)
         return total
@@ -308,11 +347,12 @@ def reference_solve(instance: Instance, config: SolverConfig):
     unplaced index of each shape branches, candidates come in
     ``rect_order`` (ties by index) and corners in ``enumerate_corners``
     order, and an enhanced child is dropped when a placed rectangle lies
-    over or right of the new one.
+    over or right of the new one, or when its dead area exceeds the slack.
     """
     if quick_reject(instance) is not None:
         return SolveStatus.INFEASIBLE, 0, 0, None
     shapes = instance.rects
+    slack = instance.container.area - instance.total_rect_area
     key = {
         "input": lambda i: i,
         "area": lambda i: (-shapes[i].area, i),
@@ -337,11 +377,7 @@ def reference_solve(instance: Instance, config: SolverConfig):
         for i in sorted(firsts.values(), key=key):
             for corner in enumerate_corners(p, shapes[i]):
                 child = apply_action(p, CornerAction(i, corner))
-                new = child.placed_rect(i)
-                if config.enhanced_pruning and any(
-                    j != i and (is_over(other, new) or is_right_of(other, new))
-                    for j, other in child.iter_placed()
-                ):
+                if config.enhanced_pruning and enhanced_drops(child, i, slack):
                     continue
                 found = search(child, depth + 1)
                 if found is not None:

@@ -266,7 +266,7 @@ def test_board_place_and_unplace_are_inverses_and_match_enumeration():
                 assert len(grid[0]) <= 2 * len(placed) + 2
                 small = random_shape(rng, 4, 4)
                 shape = RectDims(small.width * k, small.height * k)
-                on_board = [(box[0], box[1], rot) for box, rot in _positions(grid, c, shape)]
+                on_board = [(box[0], box[1], rot) for box, rot, _ in _positions(grid, c, shape)]
                 assert on_board == [corner.position for corner in enumerate_corners(current, shape)]
                 if k == 1:
                     assert on_board == oracle_corners(current, shape)
@@ -300,10 +300,62 @@ def test_pruned_scan_drops_exactly_the_dominated_corners():
         grid = _grid(boxes, c.width, c.height)
         shape = random_shape(rng, 4, 4)
         every = _positions(grid, c, shape)
-        kept = [(box, rot) for box, rot in every if not _dominated(boxes, box)]
-        assert _positions(grid, c, shape, prune=True) == kept
+        kept = [(box, rot) for box, rot, _ in every if not _dominated(boxes, box)]
+        pruned = _positions(grid, c, shape, prune=True)
+        assert [(box, rot) for box, rot, _ in pruned] == kept
         dropped += len(every) - len(kept)
     assert dropped > 0
+
+
+def dead_cells(boxes: list, c: Container) -> int:
+    """Free unit cells with a covered cell above them in their column or
+    right of them in their row, counted cell by cell."""
+    covered = [[False] * c.height for _ in range(c.width)]
+    for x1, y1, x2, y2 in boxes:
+        for x in range(x1, x2):
+            for y in range(y1, y2):
+                covered[x][y] = True
+    # The highest covered cell of each column and the rightmost of each row.
+    tops = [max((y for y in range(c.height) if covered[x][y]), default=-1) for x in range(c.width)]
+    ends = [max((x for x in range(c.width) if covered[x][y]), default=-1) for y in range(c.height)]
+    return sum(
+        not covered[x][y] and (y < tops[x] or x < ends[y])
+        for x in range(c.width)
+        for y in range(c.height)
+    )
+
+
+def test_pruned_scan_counts_the_dead_area_of_each_child():
+    # Walk random packings by placements that dominance keeps, rotations
+    # included. At every step, for a random shape and budget, each corner
+    # the bounded scan keeps kills at most the budget, and its dead area
+    # plus the packing's is the cell count of the child; each corner that
+    # dominance keeps but the bound drops kills more than the budget.
+    rng = random.Random(2718)
+    kept = dropped = split = 0
+    for _ in range(300):
+        c = Container(rng.randint(1, 9), rng.randint(1, 9))
+        boxes: list = []
+        dead = 0
+        while True:
+            grid = _grid(boxes, c.width, c.height)
+            shape = random_shape(rng, 4, 4)
+            budget = rng.choice([0, 0, rng.randint(1, 8)])
+            children = [
+                (box, rot, dead_cells([*boxes, box], c) - dead)
+                for box, rot, _ in _positions(grid, c, shape, prune=True)
+            ]
+            expected = [hit for hit in children if hit[2] <= budget]
+            assert _positions(grid, c, shape, prune=True, budget=budget) == expected
+            kept += len(expected)
+            dropped += len(children) - len(expected)
+            split += sum(box[2] not in grid[0] or box[3] not in grid[1] for box, _, _ in expected)
+            if not children:
+                break
+            box, _, new = rng.choice(children)
+            boxes.append(box)
+            dead += new
+    assert kept > 0 and dropped > 0 and split > 0
 
 
 def test_corner_cost_does_not_grow_with_the_container():

@@ -131,3 +131,51 @@ def test_guillotine_layout_matches_the_listed_cut_rule(monkeypatch):
             reference = guillotine_layout(Container(w, h), count, listed)
         assert fast == reference, (w, h, count, seed)
         assert counted.getstate() == listed.getstate()
+
+
+def _ranged_split(x, y, w, h, k, rng, out):
+    """Reference cut rule: the (axis, cut, first k1, count) range of every
+    cut, listed, then one randrange over their total."""
+    if k == 1:
+        out.append((x, y, w, h))
+        return
+    ranges = []
+    for axis, side, other in (("v", w, h), ("h", h, w)):
+        for cut in range(1, side):
+            lo = max(1, k - (side - cut) * other)
+            if (size := min(k - 1, cut * other) - lo + 1) > 0:
+                ranges.append((axis, cut, lo, size))
+    rank = rng.randrange(sum(r[3] for r in ranges))
+    for axis, cut, lo, size in ranges:
+        if rank < size:
+            break
+        rank -= size
+    k1 = lo + rank
+    if axis == "v":
+        _ranged_split(x, y, cut, h, k1, rng, out)
+        _ranged_split(x + cut, y, w - cut, h, k - k1, rng, out)
+    else:
+        _ranged_split(x, y, w, cut, k1, rng, out)
+        _ranged_split(x, y + cut, w, h - cut, k - k1, rng, out)
+
+
+def test_guillotine_layout_matches_the_ranged_cut_rule(monkeypatch):
+    # The listed rule above is too slow for many large draws; the ranged
+    # rule, checked against it there, stands in for it here. Seeded draws
+    # of every shape, 120-rectangle cuts and counts equal to the area
+    # included, must give the same layouts and leave the same random state.
+    rng = random.Random(8128)
+    sizes = [(20, 20, 120), (24, 24, 120), (11, 11, 121), (1, 30, 30), (30, 1, 7)]
+    while len(sizes) < 2000:
+        w, h = rng.randint(1, 24), rng.randint(1, 24)
+        count = rng.choice([min(w * h, 120), rng.randint(1, min(120, w * h))])
+        sizes.append((w, h, count))
+    for seed, (w, h, count) in enumerate(sizes):
+        counted = random.Random(seed)
+        fast = guillotine_layout(Container(w, h), count, counted)
+        ranged = random.Random(seed)
+        with monkeypatch.context() as m:
+            m.setattr(generate, "_split", _ranged_split)
+            reference = guillotine_layout(Container(w, h), count, ranged)
+        assert fast == reference, (w, h, count, seed)
+        assert counted.getstate() == ranged.getstate()

@@ -3,11 +3,14 @@
 ``crosscheck`` solves tiny instances in both pruning modes and compares
 each verdict with the brute-force oracle; ``nearmiss`` exhausts parity
 near-misses, infeasible by construction yet past ``quick_reject``, in
-both modes and under every rectangle order. Both run here through the
+both modes and under every rectangle order; ``tiling`` solves zero-slack
+tilings, feasible by construction, under the benchmark's node budget in
+both modes and under every rectangle order. All run here through the
 benchmark's own configs and check functions (``perfbench/workloads.py``,
 loaded read-only from its file), so every exhausted refutation in the
 slices, pruned or plain, is held against the oracle or the construction
-in the test suite, not only in the benchmark.
+in the test suite, not only in the benchmark, and a pruning rule that
+refutes a tiling fails here.
 """
 
 from conftest import load_perfbench
@@ -45,3 +48,21 @@ def test_seed_0_nearmiss_slice_is_refuted_in_both_modes():
             assert outcome.ok and outcome.decided == len(workloads.MODES), (
                 f"nearmiss item {9 * k}, {order} order"
             )
+
+
+def test_seed_0_tiling_slice_is_never_refuted():
+    workloads = load_perfbench("workloads")
+    items = workloads.make_tiling(0)[::10]
+    assert len(items) == 50
+    decided = 0
+    for k, item in enumerate(items):
+        for order in RECT_ORDERS:
+            results = tuple(
+                solve(item.instance, workloads.solver_config(enhanced, item.budget, order))
+                for _, enhanced in workloads.MODES
+            )
+            outcome = workloads.check_tiling(item, results)
+            assert outcome.ok, f"tiling item {10 * k}, {order} order"
+            decided += outcome.decided
+    # The budget must let some searches reach a packing, or nothing is checked.
+    assert decided > 0

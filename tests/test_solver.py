@@ -162,13 +162,15 @@ def test_pruning_can_cost_nodes_on_feasible_instances():
     # intuition: the plain search may hit its first solution inside a
     # subtree the pruned search skips, then the pruned search pays for
     # backtracking elsewhere.  Exact counts pin determinism of both modes.
-    instance = inst(4, 3, (2, 1), (2, 2), (3, 1), (2, 1))
+    # The instance has zero slack, so the dead-area bound is at its
+    # strongest and still leaves pruning one node dearer.
+    instance = inst(5, 4, (1, 2), (2, 3), (2, 3), (2, 3))
     plain = solve(instance, SolverConfig(enhanced_pruning=False))
     enhanced = solve(instance, SolverConfig(enhanced_pruning=True))
     assert plain.status is SolveStatus.FEASIBLE
     assert enhanced.status is SolveStatus.FEASIBLE
-    assert plain.stats.nodes_expanded == 5
-    assert enhanced.stats.nodes_expanded == 8
+    assert plain.stats.nodes_expanded == 8
+    assert enhanced.stats.nodes_expanded == 9
     assert certify(instance, plain) and certify(instance, enhanced)
 
 
