@@ -5,10 +5,11 @@ orientation at which the shape fits inside the container, overlaps
 nothing, and is bottom-left stable the moment it is placed. Placing a
 rectangle onto such a corner is the only move the exact solver performs.
 
-One bitboard scan, :func:`_corner_scan`, enumerates the corners, on the
-grid of the placed boxes' distinct edges (:func:`_grid`), so its cost
-follows the number of rectangles, not the container's size. The search's
-mutable :class:`_Board` grows that grid by one box per placement
+One bitboard scan, :func:`_corner_scan`, enumerates the corners as boxes
+on the grid of the placed boxes' distinct edges (:func:`_grid`), so its
+cost follows the number of rectangles, not the container's size; a box
+and its shape fix the orientation. The search's :class:`_Board` owns the
+depth-first walk, growing each node's grid from its parent's by one box
 (:func:`_grow`). In enhanced mode the scan drops dominated corners with
 two bit tests, then the corners that would leave more dead area than
 the instance's slack (:func:`_kills`); :func:`enumerate_corners` builds
@@ -127,11 +128,10 @@ def _grow(grid: Grid, box: Box) -> Grid:
 
 
 def _corner_scan(
-    grid: Grid, c: Container, ew: int, eh: int, rotated: bool = False,
-    prune: bool = False, budget: int | None = None,
-) -> list[tuple[Box, bool, int]]:
+    grid: Grid, c: Container, ew: int, eh: int, prune: bool = False, budget: int | None = None
+) -> list[tuple[Box, int]]:
     """The boxes at which an ew x eh shape sits on a corner of ``grid``, as
-    ``(box, rotated, dead)`` hits sorted by (y, x).
+    ``(box, dead)`` hits sorted by (y, x).
 
     A corner is a position where the shape fits in the container, covers
     no occupied cell, and is blocked leftward (x == 0, or an occupied cell
@@ -184,7 +184,7 @@ def _corner_scan(
                     dead = _kills(grid, above, k, top, low, right, x2, y2, budget)
                     if dead > budget:
                         continue
-            out.append(((x, y, x2, y2), rotated, dead))
+            out.append(((x, y, x2, y2), dead))
     return out
 
 
@@ -241,19 +241,21 @@ def _width(xs: list[int], bits: int) -> int:
 
 def _positions(
     grid: Grid, c: Container, shape: RectDims, prune: bool = False, budget: int | None = None
-) -> list[tuple[Box, bool, int]]:
-    """Every corner of ``shape`` as ``(box, rotated, dead)``, sorted by (y, x, rotated);
+) -> list[tuple[Box, int]]:
+    """Every corner of ``shape`` as ``(box, dead)``, sorted by (y, x, rotated);
     ``prune`` and ``budget`` prune as in :func:`_corner_scan`.
 
-    A square is scanned in one orientation, since rotating it changes nothing.
+    A box is rotated when its width is not the shape's. A square is scanned
+    in one orientation, since rotating it changes nothing.
     """
-    found = _corner_scan(grid, c, shape.width, shape.height, False, prune, budget)
+    found = _corner_scan(grid, c, shape.width, shape.height, prune, budget)
     if shape.is_square:
         return found
-    turned = _corner_scan(grid, c, shape.height, shape.width, True, prune, budget)
+    turned = _corner_scan(grid, c, shape.height, shape.width, prune, budget)
     if not (found and turned):
         return found or turned
-    return sorted(found + turned, key=lambda hit: (hit[0][1], hit[0][0], hit[1]))
+    # The sort is stable, so at one (y, x) the unrotated hit, listed first, stays first.
+    return sorted(found + turned, key=lambda hit: (hit[0][1], hit[0][0]))
 
 
 def _supports(boxes: dict[int, Box], c: Container, target: Box) -> tuple[Support, Support]:
@@ -286,8 +288,8 @@ def enumerate_corners(p: Packing, shape: RectDims) -> list[Corner]:
     c = p.instance.container
     grid = _grid(list(boxes.values()), c.width, c.height)
     return [
-        Corner(b[0], b[1], rotated, *_supports(boxes, c, b))
-        for b, rotated, _ in _positions(grid, c, shape)
+        Corner(b[0], b[1], b[2] - b[0] != shape.width, *_supports(boxes, c, b))
+        for b, _ in _positions(grid, c, shape)
     ]
 
 
@@ -340,64 +342,79 @@ def supporting_rects(p: Packing, i: int) -> set[int]:
 
 
 class _Board:
-    """The exact search's one mutable state.
+    """The exact search's one mutable state, which walks the tree depth first.
 
-    ``boxes[i]`` is rectangle i's box, None while unplaced; ``order`` is the
-    solve's fixed branching order. Rectangles of one shape up to rotation
-    form a class and ``prev[i]`` is the previous member of i's class, or
-    None. Members are placed in index order, so i is its class's next one
-    exactly when it is unplaced and ``prev[i]`` is None or placed.
-    ``grids`` holds one grid per placed box and one for the empty container;
-    its top is the grid of the placed boxes, grown from the one below by the
-    last placed box, or None once every rectangle is placed. ``deads`` holds
-    beside each grid the free area its boxes have killed (see
-    :func:`_kills`), 0 at the root; the last box's kill is not counted, as
-    a full board is never scanned. :meth:`place` and :meth:`unplace` are
-    exact inverses.
+    ``boxes[i]`` is rectangle i's box, None while unplaced; ``path`` lists
+    the placed indices from the root down; ``order`` is the solve's fixed
+    branching order. Rectangles of one shape up to rotation form a class and
+    ``prev[i]`` is the previous member of i's class, or None. Members are
+    placed in index order, so i is its class's next one exactly when it is
+    unplaced and ``prev[i]`` is None or placed. A ``slack`` (container area
+    minus rectangle area) turns on enhanced pruning. ``nodes`` holds a
+    ``[grid, dead, moves]`` record per node on the path, the root's first:
+    the grid of its boxes, grown from its parent's by the last box (None on
+    a full board, which is never scanned); the free area its boxes killed
+    (see :func:`_kills`), 0 at the root, the last box's kill not counted;
+    and, once :meth:`descend` has expanded it, its move iterator, else None.
+    :meth:`place` and :meth:`unplace` are exact inverses.
     """
 
-    def __init__(self, instance: Instance, order: list[int]) -> None:
-        self.container, self.rects, self.order = instance.container, instance.rects, order
+    def __init__(self, instance: Instance, order: list[int], slack: int | None) -> None:
+        self.container, self.rects = instance.container, instance.rects
+        self.order, self.slack = order, slack
         self.boxes: list[Box | None] = [None] * instance.n
+        self.path: list[int] = []
         last: dict[tuple[int, int], int] = {}
         self.prev: list[int | None] = []
         for i, shape in enumerate(r.canonical() for r in instance.rects):
             self.prev.append(last.get(shape))
             last[shape] = i
         empty: Grid = ([0, self.container.width], [0, self.container.height], [0])
-        self.grids: list[Grid | None] = [empty]
-        self.deads = [0]
+        self.nodes: list[list] = [[empty, 0, None]]
 
-    def place(self, i: int, box: Box, dead: int = 0) -> None:
-        """Place rectangle i at ``box``, which kills ``dead`` more free area."""
+    def place(self, i: int, box: Box, dead: int) -> None:
+        """Enter the child placing rectangle i at ``box``, which kills ``dead`` more free area."""
+        grid, total, _ = self.nodes[-1]
         self.boxes[i] = box
-        full = len(self.grids) == len(self.boxes)  # nothing is ever scanned on a full board
-        self.grids.append(None if full else _grow(self.grids[-1], box))
-        self.deads.append(self.deads[-1] + dead)
+        self.path.append(i)
+        full = len(self.path) == len(self.boxes)  # nothing is ever scanned on a full board
+        self.nodes.append([None if full else _grow(grid, box), total + dead, None])
 
-    def unplace(self, i: int) -> None:
-        self.boxes[i] = None
-        self.grids.pop()
-        self.deads.pop()
+    def unplace(self) -> None:
+        """Leave the current node for its parent, taking off the last box."""
+        self.boxes[self.path.pop()] = None
+        self.nodes.pop()
 
-    def moves(self, slack: int | None) -> Iterator[tuple[int, Box, bool, int]]:
-        """The corner placements ``(i, box, rotated, dead)`` out of the current
-        state, lazily.
+    def moves(self) -> Iterator[tuple[int, Box, int]]:
+        """The corner placements ``(i, box, dead)`` out of the current node,
+        lazily.
 
         Each class's next member, in ``order``, goes onto each of its
         corners in (y, x, rotated) order; permuting identical shapes never
-        gives a new packing. A ``slack`` (container area minus rectangle
-        area) turns on enhanced pruning: it drops the corners that would
-        leave the new box under or left of a placed one, or leave more dead
-        area than ``slack``, since no completion covers a dead cell. Resume
-        only in the state the iterator began in.
+        gives a new packing. With a ``slack``, the corners are dropped that
+        would leave the new box under or left of a placed one, or leave more
+        dead area than the slack, since no completion covers a dead cell.
+        Resume only in the node the iterator began in.
         """
-        c, grid, boxes, prev = self.container, self.grids[-1], self.boxes, self.prev
+        c, boxes, prev, slack = self.container, self.boxes, self.prev, self.slack
+        grid, dead, _ = self.nodes[-1]
         prune = slack is not None
         # The last box can kill no more than the slack left, since every
         # other free cell is spare then, so its walk is skipped.
-        budget = slack - self.deads[-1] if prune and len(self.grids) < len(boxes) else None
+        budget = slack - dead if prune and len(self.path) + 1 < len(boxes) else None
         for i in self.order:
             if boxes[i] is None and (prev[i] is None or boxes[prev[i]] is not None):
-                for box, rotated, dead in _positions(grid, c, self.rects[i], prune, budget):
-                    yield i, box, rotated, dead
+                for box, kill in _positions(grid, c, self.rects[i], prune, budget):
+                    yield i, box, kill
+
+    def descend(self) -> bool:
+        """Expand the current node and enter its next child in depth-first
+        order, backing out of exhausted nodes; False once the root is exhausted."""
+        self.nodes[-1][2] = self.moves()
+        while True:
+            for i, box, dead in self.nodes[-1][2]:
+                self.place(i, box, dead)
+                return True
+            if not self.path:
+                return False
+            self.unplace()

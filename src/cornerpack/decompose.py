@@ -132,8 +132,9 @@ class PlacementOrder:
     """An order in which a packing is rebuilt by corner placements.
 
     ``actions`` holds one corner-occupying action per placed rectangle;
-    action k places ``order[k]`` at its final coordinates onto a corner
-    formed only by earlier entries and the borders.
+    action k places ``order[k]`` at its final coordinates and orientation,
+    checked at construction, onto a corner formed only by earlier entries
+    and the borders, checked by :meth:`replay`.
     """
 
     packing: Packing
@@ -148,6 +149,9 @@ class PlacementOrder:
         for i, action in zip(self.order, self.actions):
             if action.rect_index != i:
                 raise ValueError(f"action for rectangle {i} targets {action.rect_index}")
+            pl = self.packing.placements[i]
+            if action.corner.position != (pl.x, pl.y, pl.rotated):
+                raise ValueError(f"action for rectangle {i} does not rebuild its placement")
 
     def replay(self) -> list[Packing]:
         """Rebuild the packing step by step, validating every action.

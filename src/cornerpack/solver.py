@@ -6,16 +6,19 @@ to corners loses nothing, because any stable feasible packing can be
 rebuilt as a sequence of corner placements, and compaction turns any
 feasible packing into a stable one.
 
-The search runs on an explicit stack, so Python's recursion limit does
-not bound its depth, over one mutable board (:class:`corners._Board`).
-Each node scans its corners once, on a bitboard of the placed boxes'
-distinct edges that the board grows by one box per placement. Enhanced
-pruning happens inside that scan, not as a check per child: two bit
-tests for dominance, then a walk that adds up the free area the new box
-would leave dead, against the instance's slack. A child is placed on
-the board and later taken off, never re-validated.
-Frozen packings and validated actions stay at the API boundary: the
-result packing is built once, from the path.
+The walk itself belongs to one mutable board (:class:`corners._Board`),
+which keeps the depth-first stack, one record per node on its path, so
+Python's recursion limit does not bound the depth. :func:`solve` keeps
+only the policy: the limit checks at node entry, the node and depth
+counts, and the result. Each node scans its corners once, on a bitboard
+of the placed boxes' distinct edges that the board grows by one box per
+placement. Enhanced pruning happens inside that scan, not as a check per
+child: two bit tests for dominance, then a walk that adds up the free
+area the new box would leave dead, against the instance's slack. A child
+is placed on the board and later taken off, never re-validated. Frozen
+packings and validated actions stay at the API boundary: the result
+packing is built once, from the board's boxes, each box's orientation
+read off its width.
 """
 
 from __future__ import annotations
@@ -135,23 +138,6 @@ def _dominated(boxes: list[Box | None], new: Box) -> bool:
     return any(b is not None and (box_over(b, new) or box_right_of(b, new)) for b in boxes)
 
 
-def _advance(board: _Board, frames: list, path: list) -> bool:
-    """Place the next child in depth-first order; False once the root is exhausted.
-
-    ``frames`` holds one move iterator per node on ``path``; an exhausted
-    node is popped and the move that reached it is taken off the board.
-    """
-    while frames:
-        for i, box, rotated, dead in frames[-1]:
-            board.place(i, box, dead)
-            path.append((i, box, rotated))
-            return True
-        frames.pop()
-        if path:
-            board.unplace(path.pop()[0])
-    return False
-
-
 def solve(instance: Instance, config: SolverConfig | None = None) -> SolveResult:
     """Decide whether the instance admits a feasible packing.
 
@@ -159,7 +145,9 @@ def solve(instance: Instance, config: SolverConfig | None = None) -> SolveResult
     after the corner-action search space is exhausted, and UNKNOWN only
     when a configured limit fired first. Runs are deterministic: the
     same instance and config give the same status, packing and node
-    count (elapsed time aside).
+    count (elapsed time aside). The board walks the tree
+    (:meth:`corners._Board.descend`); this function checks the limits as
+    each node is entered, counts nodes and depth, and builds the result.
     """
     config = config or SolverConfig()
     start = time.perf_counter()
@@ -171,33 +159,30 @@ def solve(instance: Instance, config: SolverConfig | None = None) -> SolveResult
             SolveStatus.INFEASIBLE, None, SolveStats(0, 0, time.perf_counter() - start)
         )
 
-    board = _Board(instance, sorted(range(instance.n), key=_order_key(config, instance)))
     slack = instance.container.area - instance.total_rect_area if config.enhanced_pruning else None
-    path: list[tuple[int, Box, bool]] = []  # (i, box, rotated) from the root down
-    frames: list = []
+    board = _Board(instance, sorted(range(instance.n), key=_order_key(config, instance)), slack)
     while True:
-        # Node entry: the board holds the node's packing, at depth len(path).
+        # Node entry: the board holds the node's packing, at depth len(board.path).
         if (config.node_limit is not None and nodes >= config.node_limit) or (
             config.time_limit is not None and time.perf_counter() - start > config.time_limit
         ):
             status = SolveStatus.UNKNOWN
             break
         nodes += 1
-        max_depth = max(max_depth, len(path))
-        if len(path) == instance.n:
+        max_depth = max(max_depth, len(board.path))
+        if len(board.path) == instance.n:
             status = SolveStatus.FEASIBLE
             break
-        frames.append(board.moves(slack))
-        if not _advance(board, frames, path):
+        if not board.descend():
             status = SolveStatus.INFEASIBLE
             break
     stats = SolveStats(nodes, max_depth, time.perf_counter() - start)
     if status is not SolveStatus.FEASIBLE:
         return SolveResult(status, None, stats)
-    placements: list[Placement | None] = [None] * instance.n
-    for i, box, rotated in path:
-        placements[i] = Placement(box[0], box[1], rotated)
-    return SolveResult(status, Packing(instance, tuple(placements)), stats)
+    placements = tuple(
+        Placement(b[0], b[1], b[2] - b[0] != r.width) for b, r in zip(board.boxes, instance.rects)
+    )
+    return SolveResult(status, Packing(instance, placements), stats)
 
 
 def certify(instance: Instance, result: SolveResult) -> bool:

@@ -23,39 +23,30 @@ POS_Z = "+z"
 
 
 @dataclass(frozen=True)
-class BoxDims:
+class _Extents:
+    """Three validated extents and their volume."""
+
+    width: int
+    depth: int
+    height: int
+
+    def __post_init__(self):
+        for name in ("width", "depth", "height"):
+            v = getattr(self, name)
+            if v < 1:
+                raise ValueError(f"{name} must be at least 1, got {v}")
+
+    @property
+    def volume(self) -> int:
+        return self.width * self.depth * self.height
+
+
+class BoxDims(_Extents):
     """Axis-aligned box extents; no rotation is modeled in 3D."""
 
-    width: int
-    depth: int
-    height: int
 
-    def __post_init__(self):
-        for name in ("width", "depth", "height"):
-            v = getattr(self, name)
-            if v < 1:
-                raise ValueError(f"{name} must be at least 1, got {v}")
-
-    @property
-    def volume(self) -> int:
-        return self.width * self.depth * self.height
-
-
-@dataclass(frozen=True)
-class Container3:
-    width: int
-    depth: int
-    height: int
-
-    def __post_init__(self):
-        for name in ("width", "depth", "height"):
-            v = getattr(self, name)
-            if v < 1:
-                raise ValueError(f"{name} must be at least 1, got {v}")
-
-    @property
-    def volume(self) -> int:
-        return self.width * self.depth * self.height
+class Container3(_Extents):
+    """The container's extents; a box never equals a container of its size."""
 
 
 @dataclass(frozen=True)

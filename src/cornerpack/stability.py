@@ -36,8 +36,8 @@ class CompactionTrace:
     """Audit trail of one compaction run.
 
     ``steps`` holds ``(rect_index, direction, distance)`` triples in the
-    order the moves were applied; each distance is positive and lowers the
-    coordinate sum by exactly that amount.
+    order the moves were applied; each moves down or left by a positive
+    distance, which lowers the coordinate sum by exactly that amount.
     """
 
     steps: tuple[tuple[int, str, int], ...]
@@ -46,6 +46,11 @@ class CompactionTrace:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "steps", tuple(self.steps))
+        for _, direction, distance in self.steps:
+            if direction not in (DOWN, LEFT):
+                raise ValueError(f"unknown trace direction {direction!r}")
+            if not distance > 0:
+                raise ValueError(f"trace distance must be positive, got {distance}")
         moved = sum(d for _, _, d in self.steps)
         if self.final_l != self.initial_l - moved:
             raise ValueError("trace distances do not account for the coordinate-sum change")
@@ -89,15 +94,6 @@ def max_left_slide(i: int, p: Packing) -> int:
     """Largest distance rectangle ``i`` can move straight left."""
     p.placed_rect(i)  # IndexError or ValueError unless rectangle i is placed
     return _slide(*_index(p), i, LEFT)
-
-
-def _moved(pl: Placement, direction: str, distance: int) -> Placement:
-    """``pl`` moved ``distance`` units down or left."""
-    if direction == DOWN:
-        return Placement(pl.x, pl.y - distance, pl.rotated)
-    if direction == LEFT:
-        return Placement(pl.x - distance, pl.y, pl.rotated)
-    raise ValueError(f"unknown trace direction {direction!r}")
 
 
 def is_bottom_left_stable_rect(i: int, p: Packing) -> bool:
@@ -166,5 +162,6 @@ def apply_trace(p: Packing, trace: CompactionTrace) -> Packing:
         pl = placements[i]
         if pl is None:
             raise ValueError(f"trace moves unplaced rectangle {i}")
-        placements[i] = _moved(pl, direction, distance)
+        dx, dy = (0, distance) if direction == DOWN else (distance, 0)
+        placements[i] = Placement(pl.x - dx, pl.y - dy, pl.rotated)
     return Packing(p.instance, placements)

@@ -18,6 +18,7 @@ from cornerpack import (
     StaleCornerError,
     apply_action,
     enumerate_corners,
+    guillotine_layout,
     is_bottom_left_stable_rect,
     is_feasible,
     oracle_corners,
@@ -229,15 +230,18 @@ def scaled(p: Packing, k: int) -> Packing:
 def test_board_place_and_unplace_are_inverses_and_match_enumeration():
     # Place a random partial packing's rectangles one by one in random
     # order, then take them off in reverse. At every step the board's boxes
-    # are those of the equivalent Packing, its top grid, grown one box at a
-    # time, is the grid built from scratch from those boxes (same edges,
-    # same rows; a full board keeps none), the corners that grid gives a
-    # random shape are enumerate_corners' and the brute-force oracle's, in
-    # the same order, and each unplace restores boxes and grids. The board
-    # keeps the order it is given, and prev[i] names the previous index of
-    # rectangle i's shape up to rotation. Scaled by 10**5 the grid stays as
-    # small (the oracle, which scans every integral position, is left out
-    # there).
+    # are those of the equivalent Packing and its path the indices placed
+    # so far, it keeps one node record per placed box and one for the
+    # root, each record's dead area is the sum of the kills placed up to
+    # it, the top record's grid, grown one box at a time, is the grid built
+    # from scratch from those boxes (same edges, same rows; a full board
+    # keeps none), the corners that grid gives a random shape, with the
+    # orientation read off each box, are enumerate_corners' and the
+    # brute-force oracle's, in the same order, and each unplace restores
+    # boxes, path and records. The board keeps the order it is given, and
+    # prev[i] names the previous index of rectangle i's shape up to
+    # rotation. Scaled by 10**5 the grid stays as small (the oracle, which
+    # scans every integral position, is left out there).
     rng = random.Random(9091)
     for k in (1, 10**5):
         for _ in range(300):
@@ -245,7 +249,7 @@ def test_board_place_and_unplace_are_inverses_and_match_enumeration():
             c = p.instance.container
             rects = p.instance.rects
             given = rng.sample(range(p.instance.n), p.instance.n)
-            board = _Board(p.instance, given)
+            board = _Board(p.instance, given, None)
             assert board.order == given
             for i, j in enumerate(board.prev):
                 same = [h for h in range(i) if rects[h].canonical() == rects[i].canonical()]
@@ -256,9 +260,12 @@ def test_board_place_and_unplace_are_inverses_and_match_enumeration():
             saved = []
             for step in range(len(order) + 1):
                 assert board.boxes == [current.boxes().get(i) for i in range(p.instance.n)]
-                grid = board.grids[-1]
+                assert board.path == order[:step]
+                grid = board.nodes[-1][0]
                 placed = [b for b in board.boxes if b is not None]
-                assert len(board.grids) == step + 1
+                assert len(board.nodes) == step + 1
+                kills = [h * (h - 1) // 2 for h in range(step + 1)]  # the h-th box kills h - 1
+                assert [node[1:] for node in board.nodes] == [[dead, None] for dead in kills]
                 if len(placed) == p.instance.n:
                     assert grid is None  # a full board is never scanned
                     grid = _grid(placed, c.width, c.height)
@@ -266,24 +273,66 @@ def test_board_place_and_unplace_are_inverses_and_match_enumeration():
                 assert len(grid[0]) <= 2 * len(placed) + 2
                 small = random_shape(rng, 4, 4)
                 shape = RectDims(small.width * k, small.height * k)
-                on_board = [(box[0], box[1], rot) for box, rot, _ in _positions(grid, c, shape)]
+                on_board = [
+                    (b[0], b[1], b[2] - b[0] != shape.width) for b, _ in _positions(grid, c, shape)
+                ]
                 assert on_board == [corner.position for corner in enumerate_corners(current, shape)]
                 if k == 1:
                     assert on_board == oracle_corners(current, shape)
                 if step == len(order):
                     break
                 i = order[step]
-                saved.append((list(board.boxes), list(board.grids)))
-                board.place(i, p.placed_rect(i).box)
+                nodes = [list(node) for node in board.nodes]
+                saved.append((list(board.boxes), list(board.path), nodes))
+                board.place(i, p.placed_rect(i).box, step)
                 current = current.with_placement(i, p.placements[i])
-            for i in reversed(order):
-                board.unplace(i)
-                boxes, grids = saved.pop()
-                assert (board.boxes, board.grids) == (boxes, grids)
+            for _ in order:
+                board.unplace()
+                boxes, path, nodes = saved.pop()
+                assert (board.boxes, board.path, board.nodes) == (boxes, path, nodes)
                 placed = [b for b in boxes if b is not None]
-                assert grids[-1] == _grid(placed, c.width, c.height)
-            assert not any(board.boxes) and len(board.grids) == 1
+                assert nodes[-1][0] == _grid(placed, c.width, c.height)
+            assert not any(board.boxes) and board.path == [] and len(board.nodes) == 1
             assert board.order == given
+
+
+def test_board_descend_walks_the_whole_tree_depth_first():
+    # Drive descend alone until the root is exhausted, on small instances
+    # in both modes. Each call enters the next move of the deepest node
+    # with moves left, as listed by moves() when that node was entered;
+    # after it the board's path, boxes and node records agree (every node
+    # but the new one expanded, the new one's dead area its parent's plus
+    # the move's kill, its grid the placed boxes', None when full), and it
+    # returns False exactly when no node has moves left, with the board
+    # back at the empty root.
+    rng = random.Random(6061)
+    entered = 0
+    for _ in range(60):
+        c = Container(rng.randint(1, 5), rng.randint(1, 5))
+        rects = guillotine_layout(c, rng.randint(1, min(6, c.area)), rng).instance.rects
+        instance = Instance(c, rects[: rng.randint(1, len(rects))])  # zero slack or not
+        for slack in (None, c.area - instance.total_rect_area):
+            board = _Board(instance, rng.sample(range(instance.n), instance.n), slack)
+            pending = []  # per node on the path, its moves not yet entered
+            while True:
+                pending.append(list(board.moves()))
+                while pending and not pending[-1]:
+                    pending.pop()
+                if not board.descend():
+                    break
+                i, box, dead = pending[-1].pop(0)
+                entered += 1
+                assert board.path[-1] == i and len(board.path) == len(pending)
+                placed = {j: board.boxes[j] for j in board.path}
+                assert placed[i] == box and sum(b is not None for b in board.boxes) == len(placed)
+                assert [node[2] is None for node in board.nodes] == [False] * len(pending) + [True]
+                assert board.nodes[-1][1] == board.nodes[-2][1] + dead
+                full = len(placed) == instance.n
+                grid = None if full else _grid(list(placed.values()), c.width, c.height)
+                assert board.nodes[-1][0] == grid
+            assert pending == [] and board.path == [] and not any(board.boxes)
+            assert len(board.nodes) == 1
+    assert entered > 1_000
 
 
 def test_pruned_scan_drops_exactly_the_dominated_corners():
@@ -300,9 +349,9 @@ def test_pruned_scan_drops_exactly_the_dominated_corners():
         grid = _grid(boxes, c.width, c.height)
         shape = random_shape(rng, 4, 4)
         every = _positions(grid, c, shape)
-        kept = [(box, rot) for box, rot, _ in every if not _dominated(boxes, box)]
+        kept = [box for box, _ in every if not _dominated(boxes, box)]
         pruned = _positions(grid, c, shape, prune=True)
-        assert [(box, rot) for box, rot, _ in pruned] == kept
+        assert [box for box, _ in pruned] == kept
         dropped += len(every) - len(kept)
     assert dropped > 0
 
@@ -332,7 +381,7 @@ def test_pruned_scan_counts_the_dead_area_of_each_child():
     # plus the packing's is the cell count of the child; each corner that
     # dominance keeps but the bound drops kills more than the budget.
     rng = random.Random(2718)
-    kept = dropped = split = 0
+    kept = dropped = split = turned = 0
     for _ in range(300):
         c = Container(rng.randint(1, 9), rng.randint(1, 9))
         boxes: list = []
@@ -342,20 +391,21 @@ def test_pruned_scan_counts_the_dead_area_of_each_child():
             shape = random_shape(rng, 4, 4)
             budget = rng.choice([0, 0, rng.randint(1, 8)])
             children = [
-                (box, rot, dead_cells([*boxes, box], c) - dead)
-                for box, rot, _ in _positions(grid, c, shape, prune=True)
+                (box, dead_cells([*boxes, box], c) - dead)
+                for box, _ in _positions(grid, c, shape, prune=True)
             ]
-            expected = [hit for hit in children if hit[2] <= budget]
+            expected = [hit for hit in children if hit[1] <= budget]
             assert _positions(grid, c, shape, prune=True, budget=budget) == expected
             kept += len(expected)
             dropped += len(children) - len(expected)
-            split += sum(box[2] not in grid[0] or box[3] not in grid[1] for box, _, _ in expected)
+            split += sum(box[2] not in grid[0] or box[3] not in grid[1] for box, _ in expected)
+            turned += sum(box[2] - box[0] != shape.width for box, _ in expected)
             if not children:
                 break
-            box, _, new = rng.choice(children)
+            box, new = rng.choice(children)
             boxes.append(box)
             dead += new
-    assert kept > 0 and dropped > 0 and split > 0
+    assert kept > 0 and dropped > 0 and split > 0 and turned > 0
 
 
 def test_corner_cost_does_not_grow_with_the_container():

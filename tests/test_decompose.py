@@ -1,19 +1,24 @@
 """Escape chains, extraction orders, and corner build orders."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from conftest import doubled_tiling, make_packing, random_complete_packing, random_loose_packing
 from cornerpack import (
+    BOTTOM_BORDER,
     RIGHT,
     UP,
+    Corner,
     CornerAction,
     EscapeChain,
     InfeasiblePackingError,
     NotBottomLeftStableError,
+    Packing,
     PlacementOrder,
     StaleCornerError,
+    apply_action,
     apply_trace,
     compact,
     extraction_order,
@@ -198,6 +203,21 @@ def test_placement_order_validation():
     bad_action = CornerAction(5, good.actions[0].corner)
     with pytest.raises(ValueError):
         PlacementOrder(p, (0,), (bad_action,))
+    # Each action must rebuild its rectangle's placement, or replay() ends
+    # on another packing: a 2x1 rectangle turned, and a second 2x1 moved
+    # off its place onto another corner beside the first.
+    p = make_packing(4, 4, (2, 1, 0, 0))
+    turned = replace(placement_order(p).actions[0].corner, rotated=True)
+    assert apply_action(Packing.empty(p.instance), CornerAction(0, turned)) != p
+    with pytest.raises(ValueError, match="does not rebuild its placement"):
+        PlacementOrder(p, (0,), (CornerAction(0, turned),))
+    p = make_packing(4, 4, (2, 1, 0, 0), (2, 1, 0, 1))
+    good = placement_order(p)
+    assert good.order == (0, 1)
+    moved = CornerAction(1, Corner(2, 0, False, 0, BOTTOM_BORDER))
+    assert apply_action(good.replay()[1], moved) != p
+    with pytest.raises(ValueError, match="does not rebuild its placement"):
+        PlacementOrder(p, good.order, (good.actions[0], moved))
 
 
 def test_replay_round_trip_on_random_packings():

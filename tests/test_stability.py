@@ -166,6 +166,13 @@ def test_compaction_trace_validates_accounting():
         CompactionTrace(((0, "down", 2),), initial_l=5, final_l=4)
     with pytest.raises(ValueError):
         CompactionTrace((), initial_l=3, final_l=-1)
+    # Each step is a compaction move: down or left by a positive distance,
+    # even when the distances still account for the coordinate-sum change.
+    for step, l_values in (((0, "down", 0), (4, 4)), ((0, "down", -2), (2, 4))):
+        with pytest.raises(ValueError, match="distance must be positive"):
+            CompactionTrace((step,), *l_values)
+    with pytest.raises(ValueError, match="unknown trace direction"):
+        CompactionTrace(((0, "up", 1),), 4, 3)
 
 
 def test_apply_trace_rejects_steps_it_cannot_replay():
