@@ -18,7 +18,7 @@ from .decompose import placement_order
 from .files import FileFormatError, emit_instance, emit_solution, parse_instance, parse_solution
 from .corners import supporting_rects
 from .generate import corner_walk_packing, guillotine_layout
-from .geometry import Container, Packing
+from .geometry import Container, Packing, is_feasible
 from .oracle import OracleCapacityError, OracleLimits, oracle_feasible
 from .render import render_svg
 from .solver import RECT_ORDERS, SolveStatus, SolverConfig, certify, solve
@@ -111,7 +111,8 @@ def cmd_compact(args) -> int:
 
 def cmd_decompose(args) -> int:
     packing = _load_packing(args.instance, args.solution)
-    if not is_bottom_left_stable(packing):
+    # An infeasible packing is left to placement_order, which rejects it.
+    if is_feasible(packing) and not is_bottom_left_stable(packing):
         print("input is not bottom-left stable; compacting it first", file=sys.stderr)
         packing, _trace = compact(packing)
     order = placement_order(packing)

@@ -8,23 +8,22 @@ rectangle onto such a corner is the only move the exact solver performs.
 One bitboard scan, :func:`_corner_scan`, enumerates the corners as boxes
 on the grid of the placed boxes' distinct edges (:func:`_grid`), so its
 cost follows the number of rectangles, not the container's size; a box
-and its shape fix the orientation. The search's :class:`_Board` owns the
-depth-first walk, growing each node's grid from its parent's by one box
-(:func:`_grow`). In enhanced mode the scan drops dominated corners with
-two bit tests, then the corners that would leave more dead area than
-the instance's slack (:func:`_kills`); :func:`enumerate_corners` builds
-the grid from a :class:`Packing`. A single position, such as an
-action's, is checked by the definition in :func:`_supports`, from the
-boxes that overlap or touch it, which also names its supports.
+and its shape fix the orientation. :func:`enumerate_corners` builds that
+grid from a :class:`Packing`. The search's :class:`_Board` owns the
+depth-first walk. In plain mode it grows each node's grid from its
+parent's by one box (:func:`_grow`). In enhanced mode the placed and dead
+cells form a staircase, which each box climbs; the corners are its
+concave corners, where a box is never dominated, and a box's dead area
+is read off the steps. A single position, such as an action's, is
+checked by the definition in :func:`_supports`, from the boxes that
+overlap or touch it, which also names its supports.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate
-from operator import or_
 from typing import Iterator
 
 from .geometry import Box, Container, Instance, Packing, Placement, RectDims
@@ -127,29 +126,17 @@ def _grow(grid: Grid, box: Box) -> Grid:
     return xs, ys, rows
 
 
-def _corner_scan(
-    grid: Grid, c: Container, ew: int, eh: int, prune: bool = False, budget: int | None = None
-) -> list[tuple[Box, int]]:
-    """The boxes at which an ew x eh shape sits on a corner of ``grid``, as
-    ``(box, dead)`` hits sorted by (y, x).
+def _corner_scan(grid: Grid, c: Container, ew: int, eh: int) -> list[Box]:
+    """The boxes at which an ew x eh shape sits on a corner of ``grid``,
+    sorted by (y, x).
 
     A corner is a position where the shape fits in the container, covers
     no occupied cell, and is blocked leftward (x == 0, or an occupied cell
     just left of it) and downward (y == 0, or one just below it). Such a
     cell belongs to a box whose edge is the shape's edge, so this is the
     box-contact test.
-
-    With ``prune``, a corner is dropped when some box would be over the
-    shape or right of it (``box_over``/``box_right_of``). The shape
-    overlaps nothing there, so a covered cell in the shape's columns at or
-    above its top, or in its rows at or beyond its right edge, can only
-    belong to such a box. With a ``budget`` too, a corner is dropped when
-    the new box would kill more than ``budget`` of free area
-    (:func:`_kills`); ``dead`` is the area a kept box kills, and 0 without
-    a budget.
     """
     xs, ys, rows = grid
-    above = None  # with prune, the OR of rows[k:] for each k, built at the first test
     out = []
     for k, y in enumerate(ys):
         y2 = y + eh
@@ -157,9 +144,8 @@ def _corner_scan(
             break
         if k and not rows[k - 1] & ~rows[k]:
             continue  # no covered cell under a free one: nothing to rest on
-        top = bisect_left(ys, y2)
         band = 0  # the grid rows the shape spans, OR-ed: its cells must be clear here
-        for row in rows[k:top]:
+        for row in rows[k:bisect_left(ys, y2)]:
             band |= row
         below = rows[k - 1] & ~band if k else -1
         # Free cells just right of the border or of an occupied cell.
@@ -171,91 +157,27 @@ def _corner_scan(
             x2 = x + ew
             if x2 > c.width:
                 break
-            right = bisect_left(xs, x2)
-            span = (1 << right) - low
+            span = (1 << bisect_left(xs, x2)) - low
             if band & span or not below & span:
                 continue
-            dead = 0
-            if prune:
-                above = above or [*accumulate(reversed(rows), or_)][::-1] + [0]
-                if above[top] & span or band >> right:
-                    continue
-                if budget is not None:
-                    dead = _kills(grid, above, k, top, low, right, x2, y2, budget)
-                    if dead > budget:
-                        continue
-            out.append(((x, y, x2, y2), dead))
+            out.append((x, y, x2, y2))
     return out
 
 
-def _kills(
-    grid: Grid, above: list[int], k: int, top: int, low: int, right: int, x2: int, y2: int,
-    budget: int,
-) -> int:
-    """The free area that a box on grid rows [k, top) and columns from bit
-    ``low`` to ``right`` kills, or a partial sum past ``budget``.
-
-    Under enhanced pruning no box goes under or left of a placed one, so a
-    free cell with a covered cell above it in its column, or right of it in
-    its row, stays free: it is dead. A box that no placed box is over or
-    right of kills the free cells below it in its columns, down to the
-    first covered cell, that no covered cell is right of, and the free
-    cells left of it in its rows, back to the first covered cell, that no
-    covered cell (``above[r + 1]``, the OR of the rows over row r) is over.
-    Nothing is over the first kind or right of the second, or the box
-    would be too. The box's right edge ``x2`` and top edge ``y2`` clip its
-    last column and top row.
-    """
-    xs, ys, rows = grid
-    area = 0
-    below = (1 << right) - low  # the box's columns still free going down
-    for r in range(k - 1, -1, -1):
-        row = rows[r]
-        below &= ~row
-        if not below:
-            break
-        if new := below & -(1 << row.bit_length()):
-            width = _width(xs, new) - (xs[right] - x2 if new >> (right - 1) else 0)
-            area += width * (ys[r + 1] - ys[r])
-            if area > budget:
-                return area
-    for r in range(k, top):
-        left = low - (1 << (rows[r] & (low - 1)).bit_length())  # free run left of the box
-        if new := left & ~above[r + 1]:
-            area += _width(xs, new) * ((ys[r + 1] if r + 1 < top else y2) - ys[r])
-            if area > budget:
-                return area
-    return area
-
-
-def _width(xs: list[int], bits: int) -> int:
-    """The summed width of the grid columns set in ``bits``, one run at a time."""
-    width = 0
-    while bits:
-        low = bits & -bits
-        rest = bits + low  # the lowest run carried away
-        width += xs[(bits & ~rest).bit_length()] - xs[low.bit_length() - 1]
-        bits &= rest
-    return width
-
-
-def _positions(
-    grid: Grid, c: Container, shape: RectDims, prune: bool = False, budget: int | None = None
-) -> list[tuple[Box, int]]:
-    """Every corner of ``shape`` as ``(box, dead)``, sorted by (y, x, rotated);
-    ``prune`` and ``budget`` prune as in :func:`_corner_scan`.
+def _positions(grid: Grid, c: Container, shape: RectDims) -> list[Box]:
+    """Every corner of ``shape`` as a box, sorted by (y, x, rotated).
 
     A box is rotated when its width is not the shape's. A square is scanned
     in one orientation, since rotating it changes nothing.
     """
-    found = _corner_scan(grid, c, shape.width, shape.height, prune, budget)
+    found = _corner_scan(grid, c, shape.width, shape.height)
     if shape.is_square:
         return found
-    turned = _corner_scan(grid, c, shape.height, shape.width, prune, budget)
+    turned = _corner_scan(grid, c, shape.height, shape.width)
     if not (found and turned):
         return found or turned
-    # The sort is stable, so at one (y, x) the unrotated hit, listed first, stays first.
-    return sorted(found + turned, key=lambda hit: (hit[0][1], hit[0][0]))
+    # The sort is stable, so at one (y, x) the unrotated box, listed first, stays first.
+    return sorted(found + turned, key=lambda box: (box[1], box[0]))
 
 
 def _supports(boxes: dict[int, Box], c: Container, target: Box) -> tuple[Support, Support]:
@@ -289,7 +211,7 @@ def enumerate_corners(p: Packing, shape: RectDims) -> list[Corner]:
     grid = _grid(list(boxes.values()), c.width, c.height)
     return [
         Corner(b[0], b[1], b[2] - b[0] != shape.width, *_supports(boxes, c, b))
-        for b, _ in _positions(grid, c, shape)
+        for b in _positions(grid, c, shape)
     ]
 
 
@@ -349,14 +271,22 @@ class _Board:
     branching order. Rectangles of one shape up to rotation form a class and
     ``prev[i]`` is the previous member of i's class, or None. Members are
     placed in index order, so i is its class's next one exactly when it is
-    unplaced and ``prev[i]`` is None or placed. A ``slack`` (container area
-    minus rectangle area) turns on enhanced pruning. ``nodes`` holds a
-    ``[grid, dead, moves]`` record per node on the path, the root's first:
-    the grid of its boxes, grown from its parent's by the last box (None on
-    a full board, which is never scanned); the free area its boxes killed
-    (see :func:`_kills`), 0 at the root, the last box's kill not counted;
-    and, once :meth:`descend` has expanded it, its move iterator, else None.
-    :meth:`place` and :meth:`unplace` are exact inverses.
+    unplaced and ``prev[i]`` is None or placed. ``nodes`` holds a
+    ``[state, moves]`` record per node on the path, the root's first: the
+    node's state, and, once :meth:`descend` has expanded it, its move
+    iterator, else None. :meth:`place` and :meth:`unplace` are exact
+    inverses.
+
+    Without a ``slack`` the state is the grid of the node's boxes, grown
+    from its parent's by the last box (None on a full board, which is never
+    scanned). A ``slack`` (container area minus rectangle area) turns on
+    enhanced pruning: no box goes under or left of a placed one, so a free
+    cell with a placed box over it or right of it stays free (it is dead).
+    The placed and dead cells are then closed downward and leftward, and
+    the state is their staircase ``(xs, hs)``: step j spans [xs[j],
+    xs[j+1]) up to hs[j], ``xs`` ends with the width, and ``hs`` falls
+    strictly. The dead area is its area less the placed area. ``rights``
+    and ``tops`` index the placed boxes by right and by top edge.
     """
 
     def __init__(self, instance: Instance, order: list[int], slack: int | None) -> None:
@@ -369,51 +299,114 @@ class _Board:
         for i, shape in enumerate(r.canonical() for r in instance.rects):
             self.prev.append(last.get(shape))
             last[shape] = i
-        empty: Grid = ([0, self.container.width], [0, self.container.height], [0])
-        self.nodes: list[list] = [[empty, 0, None]]
+        if slack is None:
+            root: tuple = ([0, self.container.width], [0, self.container.height], [0])
+        else:
+            root = ([0, self.container.width], [0])
+            self.rights: dict[int, list[Box]] = {}
+            self.tops: dict[int, list[Box]] = {}
+        self.nodes: list[list] = [[root, None]]
 
-    def place(self, i: int, box: Box, dead: int) -> None:
-        """Enter the child placing rectangle i at ``box``, which kills ``dead`` more free area."""
-        grid, total, _ = self.nodes[-1]
+    def place(self, i: int, box: Box) -> None:
+        """Enter the child placing rectangle i at ``box``."""
+        state = self.nodes[-1][0]
         self.boxes[i] = box
         self.path.append(i)
-        full = len(self.path) == len(self.boxes)  # nothing is ever scanned on a full board
-        self.nodes.append([None if full else _grow(grid, box), total + dead, None])
+        if self.slack is None:
+            full = len(self.path) == len(self.boxes)  # nothing is ever scanned on a full board
+            state = None if full else _grow(state, box)
+        else:
+            # Columns left of the box rise to its top: keep the higher steps,
+            # add one at the top to the box's right edge, keep the rest.
+            (xs, hs), (x, _, x2, y2) = state, box
+            a = bisect_left(xs, x)
+            while a and hs[a - 1] <= y2:
+                a -= 1
+            c = bisect_right(xs, x2)
+            state = [*xs[: a + 1], x2, *xs[c:]], [*hs[:a], y2, *hs[c - 1 :]]
+            self.rights.setdefault(box[2], []).append(box)
+            self.tops.setdefault(box[3], []).append(box)
+        self.nodes.append([state, None])
 
     def unplace(self) -> None:
         """Leave the current node for its parent, taking off the last box."""
-        self.boxes[self.path.pop()] = None
+        i = self.path.pop()
+        if self.slack is not None:
+            _, _, x2, y2 = self.boxes[i]
+            self.rights[x2].pop()
+            self.tops[y2].pop()
+        self.boxes[i] = None
         self.nodes.pop()
 
-    def moves(self) -> Iterator[tuple[int, Box, int]]:
-        """The corner placements ``(i, box, dead)`` out of the current node,
-        lazily.
+    def moves(self) -> Iterator[tuple[int, Box]]:
+        """The corner placements ``(i, box)`` out of the current node, lazily.
 
         Each class's next member, in ``order``, goes onto each of its
         corners in (y, x, rotated) order; permuting identical shapes never
-        gives a new packing. With a ``slack``, the corners are dropped that
-        would leave the new box under or left of a placed one, or leave more
-        dead area than the slack, since no completion covers a dead cell.
-        Resume only in the node the iterator began in.
+        gives a new packing. With a ``slack``, the corners are the
+        staircase's (:meth:`_stair_corners`), less those that would leave
+        more dead area than the slack, since no completion covers a dead
+        cell. Resume only in the node the iterator began in.
         """
-        c, boxes, prev, slack = self.container, self.boxes, self.prev, self.slack
-        grid, dead, _ = self.nodes[-1]
-        prune = slack is not None
-        # The last box can kill no more than the slack left, since every
-        # other free cell is spare then, so its walk is skipped.
-        budget = slack - dead if prune and len(self.path) + 1 < len(boxes) else None
+        c, boxes, prev, rects = self.container, self.boxes, self.prev, self.rects
+        state = self.nodes[-1][0]
+        if self.slack is not None:
+            xs, hs = state  # the dead area is the staircase's, less the placed area
+            budget = self.slack - sum((b - a) * h for a, b, h in zip(xs, xs[1:], hs))
+            budget += sum(rects[i].area for i in self.path)
         for i in self.order:
             if boxes[i] is None and (prev[i] is None or boxes[prev[i]] is not None):
-                for box, kill in _positions(grid, c, self.rects[i], prune, budget):
-                    yield i, box, kill
+                if self.slack is None:
+                    found = _positions(state, c, rects[i])
+                else:
+                    found = self._stair_corners(state, rects[i], budget)
+                for box in found:
+                    yield i, box
+
+    def _stair_corners(self, stair: tuple, shape: RectDims, budget: int) -> list[Box]:
+        """The corners of ``shape`` on ``stair`` whose box kills at most
+        ``budget`` free area, sorted by (y, x, rotated).
+
+        Each is a concave corner (xs[j], hs[j]) where the box fits, touches
+        the border or a placed box on its left and below, and so covers no
+        placed or dead cell and has no placed box over it or right of it.
+        Its kill is the area by which it raises every column left of its
+        right edge to its top, less its own: the cells left of and below it.
+        """
+        xs, hs = stair
+        c, rights, tops = self.container, self.rights, self.tops
+        sides = (shape.width, shape.height)
+        dims = (sides,) if shape.is_square else (sides, sides[::-1])
+        out = []
+        for j in range(len(hs) - 1, -1, -1):  # rising y, since the heights fall
+            x, y = xs[j], hs[j]
+            for ew, eh in dims:
+                x2, y2 = x + ew, y + eh
+                if x2 > c.width or y2 > c.height:
+                    continue
+                if x and not any(b[1] < y2 and b[3] > y for b in rights.get(x, ())):
+                    continue
+                if y and not any(b[0] < x2 and b[2] > x for b in tops.get(y, ())):
+                    continue
+                kill, m = 0, j
+                while m and hs[m - 1] < y2:
+                    m -= 1
+                    kill += (xs[m + 1] - xs[m]) * (y2 - hs[m])
+                m = j + 1
+                while xs[m] < x2:
+                    kill += (min(xs[m + 1], x2) - xs[m]) * (y - hs[m])
+                    m += 1
+                if kill <= budget:
+                    out.append((x, y, x2, y2))
+        return out
 
     def descend(self) -> bool:
         """Expand the current node and enter its next child in depth-first
         order, backing out of exhausted nodes; False once the root is exhausted."""
-        self.nodes[-1][2] = self.moves()
+        self.nodes[-1][1] = self.moves()
         while True:
-            for i, box, dead in self.nodes[-1][2]:
-                self.place(i, box, dead)
+            for i, box in self.nodes[-1][1]:
+                self.place(i, box)
                 return True
             if not self.path:
                 return False

@@ -51,6 +51,8 @@ def _load(text: str) -> object:
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise FileFormatError(f"invalid JSON: {e}") from e
+    except RecursionError as e:  # the decoder recurses once per nesting level
+        raise FileFormatError("invalid JSON: nested too deeply") from e
 
 
 def parse_instance(text: str) -> Instance:

@@ -10,15 +10,15 @@ The walk itself belongs to one mutable board (:class:`corners._Board`),
 which keeps the depth-first stack, one record per node on its path, so
 Python's recursion limit does not bound the depth. :func:`solve` keeps
 only the policy: the limit checks at node entry, the node and depth
-counts, and the result. Each node scans its corners once, on a bitboard
-of the placed boxes' distinct edges that the board grows by one box per
-placement. Enhanced pruning happens inside that scan, not as a check per
-child: two bit tests for dominance, then a walk that adds up the free
-area the new box would leave dead, against the instance's slack. A child
-is placed on the board and later taken off, never re-validated. Frozen
-packings and validated actions stay at the API boundary: the result
-packing is built once, from the board's boxes, each box's orientation
-read off its width.
+counts, and the result. Plain mode scans each node's corners on a
+bitboard of the placed boxes' distinct edges, grown by one box per
+placement. Enhanced mode keeps the staircase of the placed and dead
+cells instead: its corners are the staircase's concave corners, which
+need no overlap or dominance test, and a box's dead area is arithmetic
+on the steps. A child is placed on the board and later taken off, never
+re-validated. Frozen packings and validated actions stay at the API
+boundary: the result packing is built once, from the board's boxes,
+each box's orientation read off its width.
 """
 
 from __future__ import annotations
@@ -55,9 +55,11 @@ class SolverConfig:
     which that never happens. Under that rule a free cell with a placed
     rectangle over it or right of it can never be covered, so enhanced
     pruning also skips placements after which such dead area exceeds the
-    slack (container area minus rectangle area). Pruning only removes
-    branches, so the pruned search tree is a subset of the plain one:
-    never larger, and with the same verdict. The search stops at its first solution, though, so on a
+    slack (container area minus rectangle area). The placed and dead cells
+    then form a staircase, whose concave corners the search branches on.
+    Pruning only removes branches, so the pruned search tree is a subset
+    of the plain one: never larger, and with the same verdict. The search
+    stops at its first solution, though, so on a
     feasible instance the pruned search can expand more nodes than the
     plain one, which may find a packing inside a pruned subtree. Limits,
     when hit, yield status UNKNOWN.
@@ -130,10 +132,11 @@ def _dominated(boxes: list[Box | None], new: Box) -> bool:
     """True when some placed box is over or right of the box ``new``.
 
     The reference definition of enhanced pruning's dominance half; the
-    other half is the dead-area bound (``corners._kills``). The search
-    itself prunes inside the corner scan (``corners._corner_scan``); tests
-    compare that scan with this function, and the benchmark's tracer
-    patches it here.
+    other half is the dead-area bound. The search never calls it: it
+    branches on the concave corners of the staircase of the placed and
+    dead cells (``corners._Board._stair_corners``), where no box is ever
+    dominated. Tests compare those corners with this function, and the
+    benchmark's tracer patches it here.
     """
     return any(b is not None and (box_over(b, new) or box_right_of(b, new)) for b in boxes)
 

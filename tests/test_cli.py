@@ -91,6 +91,15 @@ def test_missing_and_malformed_inputs_exit_three(workdir, capsys):
     capsys.readouterr()
 
 
+def test_deeply_nested_json_exits_three_not_four(workdir, capsys):
+    # The JSON decoder recurses once per nesting level; running out of
+    # stack there is malformed input, not a bug.
+    _, write = workdir
+    assert main(["solve", write("deep.json", "[" * 100_000)]) == 3
+    _, err = capsys.readouterr()
+    assert err.startswith("error: invalid JSON")
+
+
 def test_internal_error_exits_four_not_infeasible(workdir, monkeypatch, capsys):
     import cornerpack.cli as cli
 
@@ -182,6 +191,22 @@ def test_decompose_compacts_unstable_input_with_notice(workdir, capsys):
     assert code == 0
     assert "compacting" in err
     assert "rectangle 1 -> (0, 0)" in out
+
+
+def test_decompose_rejects_infeasible_input_without_compaction_note(workdir, capsys):
+    # An overlapping or protruding packing is rejected by the build-order
+    # derivation itself; it is never announced as being compacted.
+    _, write = workdir
+    for packing in (
+        make_packing(4, 4, (3, 3, 0, 0), (3, 3, 1, 1)),
+        make_packing(4, 4, (2, 2, 3, 3)),
+    ):
+        inst_path = write("inst.json", emit_instance(packing.instance))
+        sol_path = write("sol.json", emit_solution(packing))
+        assert main(["decompose", inst_path, sol_path]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: cannot order an infeasible packing\n"
 
 
 def test_decompose_single_rect(workdir, capsys):

@@ -229,19 +229,19 @@ def scaled(p: Packing, k: int) -> Packing:
 
 def test_board_place_and_unplace_are_inverses_and_match_enumeration():
     # Place a random partial packing's rectangles one by one in random
-    # order, then take them off in reverse. At every step the board's boxes
-    # are those of the equivalent Packing and its path the indices placed
-    # so far, it keeps one node record per placed box and one for the
-    # root, each record's dead area is the sum of the kills placed up to
-    # it, the top record's grid, grown one box at a time, is the grid built
-    # from scratch from those boxes (same edges, same rows; a full board
-    # keeps none), the corners that grid gives a random shape, with the
-    # orientation read off each box, are enumerate_corners' and the
-    # brute-force oracle's, in the same order, and each unplace restores
-    # boxes, path and records. The board keeps the order it is given, and
-    # prev[i] names the previous index of rectangle i's shape up to
-    # rotation. Scaled by 10**5 the grid stays as small (the oracle, which
-    # scans every integral position, is left out there).
+    # order on a plain board, then take them off in reverse. At every step
+    # the board's boxes are those of the equivalent Packing and its path
+    # the indices placed so far, it keeps one node record per placed box
+    # and one for the root, none of them expanded, the top record's grid,
+    # grown one box at a time, is the grid built from scratch from those
+    # boxes (same edges, same rows; a full board keeps none), the corners
+    # that grid gives a random shape, with the orientation read off each
+    # box, are enumerate_corners' and the brute-force oracle's, in the same
+    # order, and each unplace restores boxes, path and records. The board
+    # keeps the order it is given, and prev[i] names the previous index of
+    # rectangle i's shape up to rotation. Scaled by 10**5 the grid stays as
+    # small (the oracle, which scans every integral position, is left out
+    # there).
     rng = random.Random(9091)
     for k in (1, 10**5):
         for _ in range(300):
@@ -263,9 +263,7 @@ def test_board_place_and_unplace_are_inverses_and_match_enumeration():
                 assert board.path == order[:step]
                 grid = board.nodes[-1][0]
                 placed = [b for b in board.boxes if b is not None]
-                assert len(board.nodes) == step + 1
-                kills = [h * (h - 1) // 2 for h in range(step + 1)]  # the h-th box kills h - 1
-                assert [node[1:] for node in board.nodes] == [[dead, None] for dead in kills]
+                assert [node[1] for node in board.nodes] == [None] * (step + 1)
                 if len(placed) == p.instance.n:
                     assert grid is None  # a full board is never scanned
                     grid = _grid(placed, c.width, c.height)
@@ -273,9 +271,7 @@ def test_board_place_and_unplace_are_inverses_and_match_enumeration():
                 assert len(grid[0]) <= 2 * len(placed) + 2
                 small = random_shape(rng, 4, 4)
                 shape = RectDims(small.width * k, small.height * k)
-                on_board = [
-                    (b[0], b[1], b[2] - b[0] != shape.width) for b, _ in _positions(grid, c, shape)
-                ]
+                on_board = [(b[0], b[1], b[2] - b[0] != shape.width) for b in _positions(grid, c, shape)]
                 assert on_board == [corner.position for corner in enumerate_corners(current, shape)]
                 if k == 1:
                     assert on_board == oracle_corners(current, shape)
@@ -284,7 +280,7 @@ def test_board_place_and_unplace_are_inverses_and_match_enumeration():
                 i = order[step]
                 nodes = [list(node) for node in board.nodes]
                 saved.append((list(board.boxes), list(board.path), nodes))
-                board.place(i, p.placed_rect(i).box, step)
+                board.place(i, p.placed_rect(i).box)
                 current = current.with_placement(i, p.placements[i])
             for _ in order:
                 board.unplace()
@@ -296,14 +292,46 @@ def test_board_place_and_unplace_are_inverses_and_match_enumeration():
             assert board.order == given
 
 
+def dead_cells(boxes: list, c: Container) -> set:
+    """Free unit cells with a covered cell above them in their column or
+    right of them in their row, found cell by cell."""
+    covered = covered_cells(boxes)
+    # The highest covered cell of each column and the rightmost of each row.
+    tops = [max((y for y in range(c.height) if (x, y) in covered), default=-1) for x in range(c.width)]
+    ends = [max((x for x in range(c.width) if (x, y) in covered), default=-1) for y in range(c.height)]
+    return {
+        (x, y)
+        for x in range(c.width)
+        for y in range(c.height)
+        if (x, y) not in covered and (y < tops[x] or x < ends[y])
+    }
+
+
+def covered_cells(boxes: list) -> set:
+    return {(x, y) for x1, y1, x2, y2 in boxes for x in range(x1, x2) for y in range(y1, y2)}
+
+
+def column_steps(cells: set, c: Container) -> tuple:
+    """The heights of the columns of ``cells``, each counted cell by cell,
+    as a staircase ``(xs, hs)``: one step per run of equal heights."""
+    xs, hs = [], []
+    for x in range(c.width):
+        height = sum((x, y) in cells for y in range(c.height))
+        if not hs or height != hs[-1]:
+            xs.append(x)
+            hs.append(height)
+    return [*xs, c.width], hs
+
+
 def test_board_descend_walks_the_whole_tree_depth_first():
     # Drive descend alone until the root is exhausted, on small instances
     # in both modes. Each call enters the next move of the deepest node
     # with moves left, as listed by moves() when that node was entered;
     # after it the board's path, boxes and node records agree (every node
-    # but the new one expanded, the new one's dead area its parent's plus
-    # the move's kill, its grid the placed boxes', None when full), and it
-    # returns False exactly when no node has moves left, with the board
+    # but the new one expanded; in plain mode its grid the placed boxes',
+    # None when full; in enhanced mode its staircase the columns of the
+    # placed and dead cells, whose dead area stays within the slack), and
+    # it returns False exactly when no node has moves left, with the board
     # back at the empty root.
     rng = random.Random(6061)
     entered = 0
@@ -320,92 +348,119 @@ def test_board_descend_walks_the_whole_tree_depth_first():
                     pending.pop()
                 if not board.descend():
                     break
-                i, box, dead = pending[-1].pop(0)
+                i, box = pending[-1].pop(0)
                 entered += 1
                 assert board.path[-1] == i and len(board.path) == len(pending)
                 placed = {j: board.boxes[j] for j in board.path}
                 assert placed[i] == box and sum(b is not None for b in board.boxes) == len(placed)
-                assert [node[2] is None for node in board.nodes] == [False] * len(pending) + [True]
-                assert board.nodes[-1][1] == board.nodes[-2][1] + dead
-                full = len(placed) == instance.n
-                grid = None if full else _grid(list(placed.values()), c.width, c.height)
-                assert board.nodes[-1][0] == grid
+                assert [node[1] is None for node in board.nodes] == [False] * len(pending) + [True]
+                boxes = list(placed.values())
+                if slack is None:
+                    full = len(placed) == instance.n
+                    assert board.nodes[-1][0] == (None if full else _grid(boxes, c.width, c.height))
+                else:
+                    dead = dead_cells(boxes, c)
+                    assert len(dead) <= slack
+                    assert board.nodes[-1][0] == column_steps(covered_cells(boxes) | dead, c)
             assert pending == [] and board.path == [] and not any(board.boxes)
             assert len(board.nodes) == 1
     assert entered > 1_000
 
 
-def test_pruned_scan_drops_exactly_the_dominated_corners():
-    # Enhanced pruning happens inside the scan; solver._dominated is its
-    # reference definition. On random partial packings the pruned corners
-    # of a random shape are the unpruned ones whose box no placed box is
-    # over or right of.
+def test_staircase_corners_are_the_undominated_scan_corners_within_the_budget():
+    # Walk random enhanced boards, rotations included, placing rectangle
+    # len(path) on a random kept corner and now and then taking the last
+    # box off again. At every step, for a random budget, the staircase's
+    # corners of the next rectangle are the plain scan's corners of the
+    # placed boxes that no placed box is over or right of
+    # (solver._dominated, the reference definition) and whose kill, the
+    # dead cells the box adds counted cell by cell, is within the budget.
+    # A box is kept at a budget of exactly its kill and dropped one below,
+    # so the kill is that count. The board's moves use its slack less the
+    # dead cells of its boxes as the budget.
     rng = random.Random(5150)
-    dropped = 0
-    for _ in range(400):
-        p = random_partial_packing(rng, max_side=10, max_n=12)
-        c = p.instance.container
-        boxes = list(p.boxes().values())
-        grid = _grid(boxes, c.width, c.height)
-        shape = random_shape(rng, 4, 4)
-        every = _positions(grid, c, shape)
-        kept = [box for box, _ in every if not _dominated(boxes, box)]
-        pruned = _positions(grid, c, shape, prune=True)
-        assert [box for box, _ in pruned] == kept
-        dropped += len(every) - len(kept)
-    assert dropped > 0
-
-
-def dead_cells(boxes: list, c: Container) -> int:
-    """Free unit cells with a covered cell above them in their column or
-    right of them in their row, counted cell by cell."""
-    covered = [[False] * c.height for _ in range(c.width)]
-    for x1, y1, x2, y2 in boxes:
-        for x in range(x1, x2):
-            for y in range(y1, y2):
-                covered[x][y] = True
-    # The highest covered cell of each column and the rightmost of each row.
-    tops = [max((y for y in range(c.height) if covered[x][y]), default=-1) for x in range(c.width)]
-    ends = [max((x for x in range(c.width) if covered[x][y]), default=-1) for y in range(c.height)]
-    return sum(
-        not covered[x][y] and (y < tops[x] or x < ends[y])
-        for x in range(c.width)
-        for y in range(c.height)
-    )
-
-
-def test_pruned_scan_counts_the_dead_area_of_each_child():
-    # Walk random packings by placements that dominance keeps, rotations
-    # included. At every step, for a random shape and budget, each corner
-    # the bounded scan keeps kills at most the budget, and its dead area
-    # plus the packing's is the cell count of the child; each corner that
-    # dominance keeps but the bound drops kills more than the budget.
-    rng = random.Random(2718)
-    kept = dropped = split = turned = 0
+    kept = dominated = over = killed = turned = backed = 0
     for _ in range(300):
         c = Container(rng.randint(1, 9), rng.randint(1, 9))
-        boxes: list = []
-        dead = 0
-        while True:
-            grid = _grid(boxes, c.width, c.height)
-            shape = random_shape(rng, 4, 4)
+        instance = Instance(c, tuple(random_shape(rng, 4, 4) for _ in range(rng.randint(1, 12))))
+        slack = rng.randint(0, 8)
+        board = _Board(instance, list(range(instance.n)), slack)
+        while len(board.path) < instance.n:
+            i = len(board.path)
+            shape = instance.rects[i]
+            stair = board.nodes[-1][0]
+            placed = [b for b in board.boxes if b is not None]
+            dead = len(dead_cells(placed, c))
+            scanned = _positions(_grid(placed, c.width, c.height), c, shape)
+            kills = {
+                box: len(dead_cells([*placed, box], c)) - dead
+                for box in scanned
+                if not _dominated(board.boxes, box)
+            }
             budget = rng.choice([0, 0, rng.randint(1, 8)])
-            children = [
-                (box, dead_cells([*boxes, box], c) - dead)
-                for box, _ in _positions(grid, c, shape, prune=True)
+            children = [box for box, kill in kills.items() if kill <= budget]
+            assert board._stair_corners(stair, shape, budget) == children
+            assert [box for j, box in board.moves() if j == i] == [
+                box for box, kill in kills.items() if kill <= slack - dead
             ]
-            expected = [hit for hit in children if hit[1] <= budget]
-            assert _positions(grid, c, shape, prune=True, budget=budget) == expected
-            kept += len(expected)
-            dropped += len(children) - len(expected)
-            split += sum(box[2] not in grid[0] or box[3] not in grid[1] for box, _ in expected)
-            turned += sum(box[2] - box[0] != shape.width for box, _ in expected)
-            if not children:
+            for box, kill in kills.items():
+                assert box in board._stair_corners(stair, shape, kill)
+                assert box not in board._stair_corners(stair, shape, kill - 1)
+            kept += len(children)
+            dominated += len(scanned) - len(kills)
+            over += len(kills) - len(children)
+            killed += sum(kill > 0 for kill in kills.values())
+            turned += sum(box[2] - box[0] != shape.width for box in children)
+            if board.path and rng.random() < 0.2:
+                board.unplace()
+                backed += 1
+            elif children:
+                board.place(i, rng.choice(children))
+            else:
                 break
-            box, new = rng.choice(children)
-            boxes.append(box)
-            dead += new
-    assert kept > 0 and dropped > 0 and split > 0 and turned > 0
+    assert min(kept, dominated, over, killed, turned, backed) > 0
+
+
+def test_staircase_is_the_closed_set_of_placed_and_dead_cells():
+    # Walk random instances by the enhanced board's own moves, now and then
+    # backing out. The placed and dead cells, counted cell by cell from the
+    # boxes, stay closed downward and leftward, so they form a staircase,
+    # and every node record holds exactly that staircase, its heights
+    # strictly falling; each unplace restores the boxes, path, records and
+    # the contact indices by right and top edge.
+    rng = random.Random(2718)
+    states = 0
+    for _ in range(300):
+        c = Container(rng.randint(1, 9), rng.randint(1, 9))
+        if rng.random() < 0.5:
+            rects = guillotine_layout(c, rng.randint(1, min(10, c.area)), rng).instance.rects
+        else:
+            rects = tuple(random_shape(rng, 4, 4) for _ in range(rng.randint(1, 10)))
+        instance = Instance(c, rects)
+        board = _Board(instance, rng.sample(range(instance.n), instance.n), c.area)
+        saved = []
+        for _ in range(3 * instance.n):
+            boxes = [b for b in board.boxes if b is not None]
+            cells = covered_cells(boxes) | dead_cells(boxes, c)
+            assert all((x == 0 or (x - 1, y) in cells) and (y == 0 or (x, y - 1) in cells) for x, y in cells)
+            xs, hs = board.nodes[-1][0]
+            assert (xs, hs) == column_steps(cells, c)
+            assert all(a > b for a, b in zip(hs, hs[1:]))
+            states += 1
+            moves = list(board.moves())
+            if saved and (not moves or rng.random() < 0.25):
+                board.unplace()
+                assert snapshot(board) == saved.pop()
+            elif moves:
+                saved.append(snapshot(board))
+                board.place(*rng.choice(moves))
+    assert states > 3_000
+
+
+def snapshot(board: _Board) -> tuple:
+    """Copies of the board's boxes, path, node records and contact indices."""
+    index = [{edge: list(v) for edge, v in side.items() if v} for side in (board.rights, board.tops)]
+    return list(board.boxes), list(board.path), [list(node) for node in board.nodes], index
 
 
 def test_corner_cost_does_not_grow_with_the_container():

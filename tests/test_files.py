@@ -51,6 +51,17 @@ def test_parse_instance_rejects_malformed_json():
         parse_instance("{not json")
 
 
+def test_deeply_nested_json_is_a_format_error():
+    # The JSON decoder recurses once per nesting level; hitting the
+    # recursion limit there is malformed input like any other.
+    instance = parse_instance(INSTANCE_TEXT)
+    for text in ("[" * 100_000, '{"a": ' * 100_000):
+        with pytest.raises(FileFormatError, match="invalid JSON"):
+            parse_instance(text)
+        with pytest.raises(FileFormatError, match="invalid JSON"):
+            parse_solution(text, instance)
+
+
 def test_parse_instance_names_offending_fields():
     with pytest.raises(FileFormatError, match="container.width"):
         parse_instance('{"container": {"width": 0, "height": 3}, "rectangles": []}')
