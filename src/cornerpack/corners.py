@@ -215,25 +215,24 @@ def enumerate_corners(p: Packing, shape: RectDims) -> list[Corner]:
     ]
 
 
-def apply_action(p: Packing, a: CornerAction) -> Packing:
-    """Execute a corner-occupying action on a partial packing.
+def _action_box(boxes: dict[int, Box], instance: Instance, a: CornerAction) -> Box:
+    """The box action ``a`` fills among the placed ``boxes``, once checked.
 
-    The action is re-validated against ``p`` first; a corner computed for
-    an earlier state of the search raises :class:`StaleCornerError`
-    instead of silently producing a broken packing.
+    Raises StaleCornerError unless ``a`` places an unplaced rectangle onto
+    a corner whose named supports are the border there or placed boxes
+    touching that side.
     """
     i = a.rect_index
-    if i < 0 or i >= p.instance.n:
+    if i < 0 or i >= instance.n:
         raise StaleCornerError(f"rectangle index {i} out of range")
-    if p.placements[i] is not None:
+    if i in boxes:
         raise StaleCornerError(f"rectangle {i} is already placed")
     corner = a.corner
-    shape = p.instance.rects[i]
+    shape = instance.rects[i]
     ew, eh = (shape.height, shape.width) if corner.rotated else (shape.width, shape.height)
     x, y = corner.x, corner.y
-    boxes = p.boxes()
     target = (x, y, x + ew, y + eh)
-    _supports(boxes, p.instance.container, target)
+    _supports(boxes, instance.container, target)
     for side, support, border, at_zero in (
         ("left", corner.left_support, LEFT_BORDER, x == 0),
         ("bottom", corner.bottom_support, BOTTOM_BORDER, y == 0),
@@ -245,7 +244,19 @@ def apply_action(p: Packing, a: CornerAction) -> Packing:
             raise StaleCornerError(f"{side} support {support} is not a placed rectangle")
         elif not box_touches(boxes[support], target, side == "left"):
             raise StaleCornerError(f"rectangle {support} no longer supports ({x}, {y})")
-    return p.with_placement(i, Placement(x, y, corner.rotated))
+    return target
+
+
+def apply_action(p: Packing, a: CornerAction) -> Packing:
+    """Execute a corner-occupying action on a partial packing.
+
+    The action is re-validated against ``p`` first; a corner computed for
+    an earlier state of the search raises :class:`StaleCornerError`
+    instead of silently producing a broken packing.
+    """
+    _action_box(p.boxes(), p.instance, a)
+    corner = a.corner
+    return p.with_placement(a.rect_index, Placement(corner.x, corner.y, corner.rotated))
 
 
 def supporting_rects(p: Packing, i: int) -> set[int]:
@@ -384,10 +395,6 @@ class _Board:
                 x2, y2 = x + ew, y + eh
                 if x2 > c.width or y2 > c.height:
                     continue
-                if x and not any(b[1] < y2 and b[3] > y for b in rights.get(x, ())):
-                    continue
-                if y and not any(b[0] < x2 and b[2] > x for b in tops.get(y, ())):
-                    continue
                 kill, m = 0, j
                 while m and hs[m - 1] < y2:
                     m -= 1
@@ -396,8 +403,13 @@ class _Board:
                 while xs[m] < x2:
                     kill += (min(xs[m + 1], x2) - xs[m]) * (y - hs[m])
                     m += 1
-                if kill <= budget:
-                    out.append((x, y, x2, y2))
+                if kill > budget:
+                    continue  # first: arithmetic on the steps, cheaper than the contact scans
+                if x and not any(b[1] < y2 and b[3] > y for b in rights.get(x, ())):
+                    continue
+                if y and not any(b[0] < x2 and b[2] > x for b in tops.get(y, ())):
+                    continue
+                out.append((x, y, x2, y2))
         return out
 
     def descend(self) -> bool:

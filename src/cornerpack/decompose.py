@@ -11,15 +11,24 @@ each climbing step walks that list to the first rectangle over the
 current one, and peeling drops each escaper from it. A step may still
 pass most of the list, so the worst case stays quadratic, never worse
 than a scan of every rectangle per step.
+
+A build order names each action's supports from two indices of the
+boxes placed so far, by right and by top edge, and
+:meth:`PlacementOrder.replay` checks each action against one box map
+that it keeps across its steps, so neither derives a packing's boxes
+once per rectangle.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
-from .corners import Corner, CornerAction, StaleCornerError, _supports, apply_action
-from .geometry import Box, Packing, box_over, box_right_of, is_feasible
-# Unused here: the benchmark's tracer patches this name (ROADMAP item 1).
+from .corners import BOTTOM_BORDER, LEFT_BORDER, Corner, CornerAction, _action_box
+from .geometry import Box, Packing, Placement, box_over, box_right_of, box_touches, is_feasible
+# Unused here: the benchmark's tracer patches these names on this module
+# until its patch points become optional (ROADMAP item 1).
+from .corners import _supports, apply_action  # noqa: F401
 from .geometry import free_directions  # noqa: F401
 from .stability import InfeasiblePackingError, is_bottom_left_stable
 
@@ -157,15 +166,21 @@ class PlacementOrder:
         """Rebuild the packing step by step, validating every action.
 
         Returns the intermediate packings from empty to complete; the last
-        one equals the source packing on the placed indices. Raises
-        StaleCornerError if some action is not corner-occupying for the
-        prefix built so far.
+        one equals the source packing on the placed indices. Each action
+        is checked as :func:`apply_action` checks it, against one box map
+        of the prefix built so far, kept across the steps. Raises
+        StaleCornerError if some action is not corner-occupying for that
+        prefix.
         """
-        current = Packing.empty(self.packing.instance)
-        states = [current]
+        instance = self.packing.instance
+        placements: list[Placement | None] = [None] * instance.n
+        boxes: dict[int, Box] = {}
+        states = [Packing(instance, tuple(placements))]
         for action in self.actions:
-            current = apply_action(current, action)
-            states.append(current)
+            i, corner = action.rect_index, action.corner
+            boxes[i] = _action_box(boxes, instance, action)
+            placements[i] = Placement(corner.x, corner.y, corner.rotated)
+            states.append(Packing(instance, tuple(placements)))
         return states
 
 
@@ -175,9 +190,12 @@ def placement_order(p: Packing) -> PlacementOrder:
     The reverse of the extraction order works: whatever was extracted
     later gets placed earlier, and its supports are always among the
     rectangles placed before it. The packing's boxes are derived once.
-    Each action is validated once during construction, by the corner check
-    that names its supports among the boxes placed so far; that no box is
-    over or right of a later-placed one is the extraction order's audit.
+    Each action names its supports from two indices of the boxes placed
+    so far, by right and by top edge: on each side, the lowest index
+    whose box touches it, else the border. The feasibility check keeps
+    every box inside the container and off the others, so a box with
+    both sides blocked is on a corner; that no box is over or right of a
+    later-placed one is the extraction order's audit.
 
     Raises InfeasiblePackingError on infeasible input and
     NotBottomLeftStableError when some rectangle could still slide down
@@ -191,15 +209,18 @@ def placement_order(p: Packing) -> PlacementOrder:
         )
     boxes = p.boxes()
     order = tuple(reversed(_peel(boxes)))
-    placed: dict[int, Box] = {}
+    rights: dict[int, list[int]] = defaultdict(list)
+    tops: dict[int, list[int]] = defaultdict(list)
     actions = []
     for i in order:
-        try:
-            left, bottom = _supports(placed, p.instance.container, boxes[i])
-        except StaleCornerError as e:
+        box = x, y, x2, y2 = boxes[i]
+        left = min((j for j in rights[x] if box_touches(boxes[j], box, True)), default=LEFT_BORDER)
+        bottom = min((j for j in tops[y] if box_touches(boxes[j], box, False)), default=BOTTOM_BORDER)
+        if (x and left is LEFT_BORDER) or (y and bottom is BOTTOM_BORDER):
             raise RuntimeError(
                 f"internal contradiction: rectangle {i} is not corner-placeable in order"
-            ) from e
-        x, y, _, _ = placed[i] = boxes[i]
+            )
+        rights[x2].append(i)
+        tops[y2].append(i)
         actions.append(CornerAction(i, Corner(x, y, p.placements[i].rotated, left, bottom)))
     return PlacementOrder(p, order, tuple(actions))

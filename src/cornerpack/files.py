@@ -53,6 +53,8 @@ def _load(text: str) -> object:
         raise FileFormatError(f"invalid JSON: {e}") from e
     except RecursionError as e:  # the decoder recurses once per nesting level
         raise FileFormatError("invalid JSON: nested too deeply") from e
+    except ValueError as e:  # an integer literal past the interpreter's digit limit
+        raise FileFormatError("invalid JSON: integer literal has too many digits") from e
 
 
 def parse_instance(text: str) -> Instance:

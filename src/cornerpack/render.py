@@ -4,11 +4,11 @@ Geometry uses a bottom-left origin, SVG a top-left one; coordinates are
 flipped on the y-axis at emission so drawings read the same way as the
 coordinate system. Each placed rectangle becomes one filled rect plus a
 centered 1-based index label; the container is an outline behind them.
+The markup is written as text: every value is an integer or a fixed
+palette colour, so nothing needs escaping.
 """
 
 from __future__ import annotations
-
-import xml.etree.ElementTree as ET
 
 from .geometry import Packing, is_feasible
 from .stability import InfeasiblePackingError
@@ -40,59 +40,24 @@ def render_svg(p: Packing) -> str:
     c = p.instance.container
     width = c.width * SCALE
     height = c.height * SCALE
-    svg = ET.Element(
-        "svg",
-        {
-            "xmlns": "http://www.w3.org/2000/svg",
-            "width": str(width),
-            "height": str(height),
-            "viewBox": f"0 0 {width} {height}",
-        },
-    )
-    ET.SubElement(
-        svg,
-        "rect",
-        {
-            "x": "0",
-            "y": "0",
-            "width": str(width),
-            "height": str(height),
-            "fill": "#ffffff",
-            "stroke": "#000000",
-            "stroke-width": "2",
-        },
-    )
-    for i, r in p.iter_placed():
-        x = r.x * SCALE
-        y = (c.height - r.y2) * SCALE
-        w = r.width * SCALE
-        h = r.height * SCALE
-        ET.SubElement(
-            svg,
-            "rect",
-            {
-                "x": str(x),
-                "y": str(y),
-                "width": str(w),
-                "height": str(h),
-                "fill": _PALETTE[i % len(_PALETTE)],
-                "fill-opacity": "0.85",
-                "stroke": "#222222",
-                "stroke-width": "1",
-            },
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">'
+        f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff" '
+        'stroke="#000000" stroke-width="2" />'
+    ]
+    for i, (x1, y1, x2, y2) in p.boxes().items():
+        x = x1 * SCALE
+        y = (c.height - y2) * SCALE
+        w = (x2 - x1) * SCALE
+        h = (y2 - y1) * SCALE
+        parts.append(
+            f'<rect x="{x}" y="{y}" width="{w}" height="{h}" '
+            f'fill="{_PALETTE[i % len(_PALETTE)]}" fill-opacity="0.85" '
+            'stroke="#222222" stroke-width="1" />'
+            f'<text x="{x + w // 2}" y="{y + h // 2}" text-anchor="middle" '
+            'dominant-baseline="central" font-family="sans-serif" font-size="12" '
+            f'fill="#000000">{i + 1}</text>'
         )
-        label = ET.SubElement(
-            svg,
-            "text",
-            {
-                "x": str(x + w // 2),
-                "y": str(y + h // 2),
-                "text-anchor": "middle",
-                "dominant-baseline": "central",
-                "font-family": "sans-serif",
-                "font-size": "12",
-                "fill": "#000000",
-            },
-        )
-        label.text = str(i + 1)
-    return ET.tostring(svg, encoding="unicode") + "\n"
+    parts.append("</svg>\n")
+    return "".join(parts)

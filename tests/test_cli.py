@@ -100,6 +100,15 @@ def test_deeply_nested_json_exits_three_not_four(workdir, capsys):
     assert err.startswith("error: invalid JSON")
 
 
+def test_overlong_integer_literal_exits_three_as_a_format_error(workdir, capsys):
+    _, write = workdir
+    text = FEASIBLE_INSTANCE.replace('"width": 4', '"width": 1' + "0" * 4_300)
+    assert main(["solve", write("huge.json", text)]) == 3
+    _, err = capsys.readouterr()
+    assert err.startswith("error: invalid JSON")
+    assert "set_int_max_str_digits" not in err
+
+
 def test_internal_error_exits_four_not_infeasible(workdir, monkeypatch, capsys):
     import cornerpack.cli as cli
 

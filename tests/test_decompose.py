@@ -8,6 +8,7 @@ import pytest
 from conftest import doubled_tiling, make_packing, random_complete_packing, random_loose_packing
 from cornerpack import (
     BOTTOM_BORDER,
+    LEFT_BORDER,
     RIGHT,
     UP,
     Corner,
@@ -179,6 +180,12 @@ def test_action_names_the_lower_indexed_of_two_supporters():
     assert po.order == (1, 0, 2)
     assert po.actions[2].corner.bottom_support == 0
     assert po.actions[1].corner.left_support == 1
+    # The mirror image: rectangle 2 rests against 0 and 1 on its left.
+    p = make_packing(2, 4, (1, 2, 0, 2), (1, 2, 0, 0), (1, 4, 1, 0))
+    po = placement_order(p)
+    assert po.order == (1, 0, 2)
+    assert po.actions[2].corner.left_support == 0
+    assert po.actions[1].corner.bottom_support == 1
 
 
 def test_placement_order_requires_stability():
@@ -220,6 +227,24 @@ def test_placement_order_validation():
         PlacementOrder(p, good.order, (good.actions[0], moved))
 
 
+def chained(po):
+    """What replay() must return or raise: public apply_action calls, one per action."""
+    states = [Packing.empty(po.packing.instance)]
+    try:
+        for action in po.actions:
+            states.append(apply_action(states[-1], action))
+    except Exception as e:
+        return type(e), str(e)
+    return states
+
+
+def replayed(po):
+    try:
+        return po.replay()
+    except Exception as e:
+        return type(e), str(e)
+
+
 def test_replay_round_trip_on_random_packings():
     rng = random.Random(424242)
     for _ in range(400):
@@ -227,6 +252,7 @@ def test_replay_round_trip_on_random_packings():
         stable, _ = compact(p)
         po = placement_order(stable)
         states = po.replay()
+        assert states == chained(po)
         assert len(states) == len(po.order) + 1
         assert states[-1] == stable
         # At every prefix the fresh rectangle is under and left of nothing.
@@ -251,3 +277,36 @@ def test_replay_validates_each_action():
     swapped = PlacementOrder(p, tuple(reversed(po.order)), tuple(reversed(po.actions)))
     with pytest.raises(StaleCornerError):
         swapped.replay()
+
+
+def test_replay_rejects_what_apply_action_rejects():
+    # Tampered orders, each stale at its last action: replay() must raise
+    # the exception type and message a chain of apply_action calls raises.
+    def order(p, *corners):
+        actions = tuple(CornerAction(i, c) for i, c in enumerate(corners))
+        return PlacementOrder(p, tuple(range(len(corners))), actions)
+
+    origin = Corner(0, 0, False, LEFT_BORDER, BOTTOM_BORDER)
+    beside = make_packing(6, 4, (2, 2, 0, 0), (2, 2, 2, 0))
+    stacked = make_packing(6, 4, (2, 2, 0, 0), (2, 2, 0, 2), (2, 2, 2, 0))
+    on_top = Corner(0, 2, False, LEFT_BORDER, 0)
+    tampered = {
+        "support not yet placed": order(beside, origin, Corner(2, 0, False, 1, BOTTOM_BORDER)),
+        "support not touching": order(stacked, origin, on_top, Corner(2, 0, False, 1, BOTTOM_BORDER)),
+        "off a corner": order(
+            make_packing(6, 4, (2, 2, 0, 0), (2, 2, 4, 0)), origin, Corner(4, 0, False, 0, BOTTOM_BORDER)
+        ),
+        "left neighbour named below": order(beside, origin, Corner(2, 0, False, 0, 0)),
+        "overlapping packing": order(
+            make_packing(6, 4, (2, 2, 0, 0), (2, 2, 1, 0)), origin, Corner(1, 0, False, 0, BOTTOM_BORDER)
+        ),
+        "protruding box": order(
+            make_packing(3, 4, (2, 2, 0, 0), (2, 2, 2, 0)), origin, Corner(2, 0, False, 0, BOTTOM_BORDER)
+        ),
+        "border named off zero": order(beside, origin, Corner(2, 0, False, LEFT_BORDER, BOTTOM_BORDER)),
+        "wrong border": order(beside, origin, Corner(2, 0, False, 0, LEFT_BORDER)),
+    }
+    for name, po in tampered.items():
+        expected = chained(po)
+        assert expected[0] is StaleCornerError, name
+        assert replayed(po) == expected, name

@@ -62,6 +62,21 @@ def test_deeply_nested_json_is_a_format_error():
             parse_solution(text, instance)
 
 
+# One digit past the interpreter's default limit on int-from-string conversion.
+HUGE_INT = "1" + "0" * 4_300
+
+
+def test_integer_literal_past_the_digit_limit_is_a_format_error():
+    # json.loads raises a plain ValueError here, not a JSONDecodeError.
+    instance = parse_instance(INSTANCE_TEXT)
+    with pytest.raises(FileFormatError, match="invalid JSON"):
+        parse_instance(INSTANCE_TEXT.replace('"width": 4', f'"width": {HUGE_INT}'))
+    solution = emit_solution(make_packing(4, 3, (2, 1, 0, 0)))
+    assert '"x": 0' in solution
+    with pytest.raises(FileFormatError, match="invalid JSON"):
+        parse_solution(solution.replace('"x": 0', f'"x": {HUGE_INT}'), instance)
+
+
 def test_parse_instance_names_offending_fields():
     with pytest.raises(FileFormatError, match="container.width"):
         parse_instance('{"container": {"width": 0, "height": 3}, "rectangles": []}')

@@ -16,6 +16,7 @@ from cornerpack import (
     InfeasiblePackingError,
     Packing,
     Placement,
+    PlacementOrder,
     apply_trace,
     compact,
     is_bottom_left_stable,
@@ -312,5 +313,6 @@ def test_box_derivations_do_not_grow_with_the_packing(monkeypatch):
         counts.append(
             [count(compact, loose), count(placement_order, stable)]
             + [count(is_bottom_left_stable, q) for q in (loose, stable)]
+            + [count(PlacementOrder.replay, placement_order(stable))]
         )
     assert counts[0] == counts[1]
