@@ -32,15 +32,11 @@ EXIT_INPUT_ERROR = 3
 EXIT_INTERNAL_ERROR = 4
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad flags; that slot belongs to
-    # "search hit a limit" here, so usage problems raise instead.
+    # "search hit a limit" here, so usage problems raise an input error.
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _read(path: str) -> str:
@@ -132,9 +128,9 @@ def cmd_decompose(args) -> int:
 
 def cmd_gen(args) -> int:
     if args.solution is not None and args.mode != "guillotine":
-        raise _UsageError("--solution requires --mode guillotine")
+        raise ValueError("--solution requires --mode guillotine")
     if args.count < 0:
-        raise _UsageError("--count cannot be negative")
+        raise ValueError("--count cannot be negative")
     rng = random.Random(args.seed)
     if args.mode == "guillotine":
         packing = guillotine_layout(args.container, args.count, rng)
@@ -240,9 +236,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     except (FileFormatError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -6,11 +6,11 @@ and repeating yields an extraction order whose reverse rebuilds the
 packing one corner-occupying action at a time. This is what makes a
 solver restricted to corner placements complete.
 
-The escape search sorts the live rectangles by top-right corner once;
-each climbing step walks that list to the first rectangle over the
-current one, and peeling drops each escaper from it. A step may still
-pass most of the list, so the worst case stays quadratic, never worse
-than a scan of every rectangle per step.
+One walk finds every escaper. It sorts the rectangles by top-right
+corner once, and each climbing step walks that list to the first
+rectangle over the current one. When an escaper leaves, the walk audits
+it and climbs on from the rest of its chain. A step may still pass most
+of the list, so the worst case stays quadratic.
 
 A build order names each action's supports from two indices of the
 boxes placed so far, by right and by top edge, and
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from typing import Iterator
 
 from .corners import BOTTOM_BORDER, LEFT_BORDER, Corner, CornerAction, _action_box
 from .geometry import Box, Packing, Placement, box_over, box_right_of, box_touches, is_feasible
@@ -62,28 +63,42 @@ class EscapeChain:
         return len(self.visited)
 
 
-def _ranked(live: dict[int, Box]) -> list[int]:
-    """``live``'s indices by top-right corner, highest first; the lower index
-    wins ties (disjoint boxes cannot tie, the index is belt and braces)."""
-    return sorted(live, key=lambda i: (live[i][2], live[i][3], -i), reverse=True)
+def _escapes(boxes: dict[int, Box]) -> Iterator[tuple[int, ...]]:
+    """Each round's escape chain among ``boxes``, escaper last.
 
-
-def _climb(live: dict[int, Box], ranked: list[int]) -> EscapeChain:
-    """The escape chain among the disjoint boxes ``ranked`` lists, which
-    must be non-empty and in :func:`_ranked` order."""
-    current = ranked[0]
-    chain = [current]
-    while True:
-        top = live[current]
+    The escaper leaves when the walk resumes, which then climbs on from the
+    rest of its chain: each earlier entry is still the highest-ranked box
+    over its predecessor. Each escaper is audited as it leaves: no box left
+    may be over or right of it. A failed audit raises when the first
+    offender leaves, so it names the earliest such pair of the order.
+    """
+    # By top-right corner, highest first; the lower index wins ties
+    # (disjoint boxes cannot tie, the index is belt and braces).
+    ranked = sorted(boxes, key=lambda i: (boxes[i][2], boxes[i][3], -i), reverse=True)
+    chain: list[int] = []
+    offenders: dict[int, int] = {}  # box -> the escaper it is right of
+    while ranked:
+        chain = chain or [ranked[0]]
+        top = boxes[chain[-1]]
         # The first box over ``top`` outranks the rest; once right edges
-        # reach ``top``'s left side, no later box can be over it.
-        nxt = next((j for j in ranked if live[j][2] <= top[0] or box_over(live[j], top)), None)
-        if nxt is None or live[nxt][2] <= top[0]:
-            return EscapeChain(tuple(chain))
-        if len(chain) >= len(ranked):
-            raise RuntimeError("internal contradiction: escape chain failed to climb strictly")
-        current = nxt
-        chain.append(current)
+        # reach ``top``'s left side, no later box can be over or right of it.
+        k = next(
+            (m for m, j in enumerate(ranked) if boxes[j][2] <= top[0] or box_over(boxes[j], top)),
+            len(ranked),
+        )
+        if k < len(ranked) and boxes[ranked[k]][2] > top[0]:
+            chain.append(ranked[k])
+            continue
+        yield tuple(chain)
+        escaper = chain.pop()
+        if escaper in offenders:
+            raise RuntimeError(
+                "internal contradiction: extraction order leaves "
+                f"rectangle {escaper} over or right of rectangle {offenders[escaper]}"
+            )
+        # None of ranked[:k] is over ``top``, or the climb would have gone on.
+        offenders = offenders or {j: escaper for j in ranked[:k] if box_right_of(boxes[j], top)}
+        ranked.remove(escaper)
 
 
 def find_escaper(p: Packing) -> EscapeChain:
@@ -101,39 +116,21 @@ def find_escaper(p: Packing) -> EscapeChain:
     live = p.boxes()
     if not live:
         raise ValueError("escape search requires at least one placed rectangle")
-    return _climb(live, _ranked(live))
-
-
-def _peel(boxes: dict[int, Box]) -> tuple[int, ...]:
-    """The extraction order of the disjoint ``boxes``, audited; see extraction_order."""
-    ranked = _ranked(boxes)
-    order = []
-    while ranked:
-        escaper = _climb(boxes, ranked).escaper
-        order.append(escaper)
-        ranked.remove(escaper)
-    for k, earlier in enumerate(order):
-        for later in order[k + 1 :]:
-            if box_over(boxes[later], boxes[earlier]) or box_right_of(boxes[later], boxes[earlier]):
-                raise RuntimeError(
-                    "internal contradiction: extraction order leaves "
-                    f"rectangle {later} over or right of rectangle {earlier}"
-                )
-    return tuple(order)
+    return EscapeChain(next(_escapes(live)))
 
 
 def extraction_order(p: Packing) -> tuple[int, ...]:
     """Peel off an escaping rectangle until none are left.
 
-    Each round re-runs the escape search on the rectangles still present,
-    so ranks and over-relations always refer to the current residue. In
-    the returned order, no later entry is over or right of an earlier
-    one; that relation is re-audited before returning. Raises
+    Each round's escape chain refers to the rectangles still present; the
+    walk resumes it after each escaper leaves rather than climbing afresh.
+    In the returned order, no later entry is over or right of an earlier
+    one; each escaper is audited for that as it leaves. Raises
     InfeasiblePackingError on overlapping or protruding input.
     """
     if not is_feasible(p):
         raise InfeasiblePackingError("extraction order requires a feasible packing")
-    return _peel(p.boxes())
+    return tuple(chain[-1] for chain in _escapes(p.boxes()))
 
 
 @dataclass(frozen=True)
@@ -208,7 +205,7 @@ def placement_order(p: Packing) -> PlacementOrder:
             "packing is not bottom-left stable; compact() it before ordering"
         )
     boxes = p.boxes()
-    order = tuple(reversed(_peel(boxes)))
+    order = tuple(reversed([chain[-1] for chain in _escapes(boxes)]))
     rights: dict[int, list[int]] = defaultdict(list)
     tops: dict[int, list[int]] = defaultdict(list)
     actions = []

@@ -20,19 +20,27 @@ RIGHT = "right"
 
 
 @dataclass(frozen=True)
-class RectDims:
-    """Dimensions of an unplaced rectangle, in grid units."""
+class _Sides:
+    """Two validated integer sides and their area; subclasses name the noun
+    of the error message in ``_noun``, a class attribute, not a field."""
 
     width: int
     height: int
 
     def __post_init__(self) -> None:
-        if self.width < 1 or self.height < 1:
-            raise ValueError(f"rectangle sides must be >= 1, got {self.width}x{self.height}")
+        w, h = self.width, self.height
+        if not (type(w) is int and w >= 1 and type(h) is int and h >= 1):
+            raise ValueError(f"{self._noun} sides must be integers >= 1, got {w!r}x{h!r}")
 
     @property
     def area(self) -> int:
         return self.width * self.height
+
+
+class RectDims(_Sides):
+    """Dimensions of an unplaced rectangle, in grid units."""
+
+    _noun = "rectangle"
 
     @property
     def perimeter(self) -> int:
@@ -47,20 +55,10 @@ class RectDims:
         return (self.width, self.height) if self.width <= self.height else (self.height, self.width)
 
 
-@dataclass(frozen=True)
-class Container:
+class Container(_Sides):
     """The rectangular container, with its bottom-left corner at the origin."""
 
-    width: int
-    height: int
-
-    def __post_init__(self) -> None:
-        if self.width < 1 or self.height < 1:
-            raise ValueError(f"container sides must be >= 1, got {self.width}x{self.height}")
-
-    @property
-    def area(self) -> int:
-        return self.width * self.height
+    _noun = "container"
 
 
 @dataclass(frozen=True)
@@ -77,8 +75,9 @@ class Placement:
     rotated: bool = False
 
     def __post_init__(self) -> None:
-        if self.x < 0 or self.y < 0:
-            raise ValueError(f"placement coordinates must be >= 0, got ({self.x}, {self.y})")
+        x, y = self.x, self.y
+        if not (type(x) is int and x >= 0 and type(y) is int and y >= 0):
+            raise ValueError(f"placement coordinates must be integers >= 0, got ({x!r}, {y!r})")
 
 
 # A placed rectangle as the half-open box (x1, y1, x2, y2).

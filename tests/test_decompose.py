@@ -27,6 +27,7 @@ from cornerpack import (
     free_directions,
     placement_order,
 )
+from cornerpack.decompose import _escapes
 from cornerpack.geometry import box_over
 
 
@@ -153,6 +154,21 @@ def test_extraction_order_respects_restriction_to_residue():
         p = random_loose_packing(rng, max_side=10, max_n=7)
         order = extraction_order(p)
         assert sorted(order) == sorted(p.placed_indices())
+
+
+@pytest.mark.parametrize(
+    "boxes, later, earlier",
+    [
+        ({0: (4, 1, 5, 4), 1: (3, 2, 6, 3), 2: (3, 3, 4, 5)}, 0, 2),
+        ({0: (2, 1, 3, 2), 1: (2, 0, 5, 1), 2: (3, 0, 4, 3)}, 2, 0),
+    ],
+)
+def test_escape_walk_audits_each_escaper_as_it_leaves(boxes, later, earlier):
+    # Overlapping boxes, which no feasible packing reaches: some box left
+    # behind lies right of an escaper, and the walk names that pair.
+    message = f"extraction order leaves rectangle {later} over or right of rectangle {earlier}$"
+    with pytest.raises(RuntimeError, match=message):
+        list(_escapes(boxes))
 
 
 # --- placement_order ---

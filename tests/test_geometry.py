@@ -57,6 +57,30 @@ def test_placement_rejects_negative_coordinates():
         Placement(0, -3)
 
 
+NON_INTEGERS = [float("nan"), 1.5, 2.0, True, False]
+
+
+@pytest.mark.parametrize("bad", NON_INTEGERS)
+def test_sides_must_be_integers(bad):
+    # NaN passes a bare ``< 1`` test; a bool is an int subclass.
+    for cls, noun in ((RectDims, "rectangle"), (Container, "container")):
+        for sides in ((bad, 1), (1, bad)):
+            with pytest.raises(ValueError, match=f"^{noun} sides must be integers"):
+                cls(*sides)
+
+
+@pytest.mark.parametrize("bad", NON_INTEGERS)
+def test_placement_coordinates_must_be_integers(bad):
+    for coords in ((bad, 0), (0, bad)):
+        with pytest.raises(ValueError, match="^placement coordinates must be integers"):
+            Placement(*coords)
+
+
+def test_nan_wide_rectangle_is_rejected_before_any_solve():
+    with pytest.raises(ValueError):
+        Instance(Container(2, 2), (RectDims(float("nan"), 1),))
+
+
 def test_packing_length_must_match_instance():
     inst = Instance(Container(4, 4), (RectDims(1, 1),))
     with pytest.raises(ValueError):
