@@ -8,13 +8,15 @@ rectangle onto such a corner is the only move the exact solver performs.
 One bitboard scan, :func:`_corner_scan`, enumerates the corners as boxes
 on the grid of the placed boxes' distinct edges (:func:`_grid`), so its
 cost follows the number of rectangles, not the container's size; a box
-and its shape fix the orientation. :func:`enumerate_corners` builds that
-grid from a :class:`Packing`. The search's :class:`_Board` owns the
-depth-first walk. In plain mode it grows each node's grid from its
-parent's by one box (:func:`_grow`). In enhanced mode the placed and dead
-cells form a staircase, which each box climbs; the corners are its
-concave corners, where a box is never dominated, and a box's dead area
-is read off the steps. A single position, such as an action's, is
+and its shape's sides (:func:`_orientations`) fix the orientation.
+:func:`enumerate_corners` builds both from a :class:`Packing` and a
+shape. The search's :class:`_Board` owns the depth-first walk and reads
+the sides from a table built once per solve. In plain mode it grows each
+node's grid from its parent's by one box (:func:`_grow`). In enhanced
+mode the placed and dead cells form a staircase, which each box climbs;
+the corners are its concave corners, where a box is never dominated, a
+box's dead area is read off the steps, and each node carries its
+remaining dead-area budget. A single position, such as an action's, is
 checked by the definition in :func:`_supports`, from the boxes that
 overlap or touch it, which also names its supports.
 """
@@ -24,6 +26,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import Iterator
 
 from .geometry import Box, Container, Instance, Packing, Placement, RectDims
@@ -137,15 +140,19 @@ def _corner_scan(grid: Grid, c: Container, ew: int, eh: int) -> list[Box]:
     box-contact test.
     """
     xs, ys, rows = grid
+    width, height = c.width, c.height
     out = []
+    end = 0  # the first grid row at or above the shape's top; it only rises with y
     for k, y in enumerate(ys):
         y2 = y + eh
-        if y2 > c.height:
+        if y2 > height:
             break
         if k and not rows[k - 1] & ~rows[k]:
             continue  # no covered cell under a free one: nothing to rest on
+        while ys[end] < y2:
+            end += 1
         band = 0  # the grid rows the shape spans, OR-ed: its cells must be clear here
-        for row in rows[k:bisect_left(ys, y2)]:
+        for row in rows[k:end]:
             band |= row
         below = rows[k - 1] & ~band if k else -1
         # Free cells just right of the border or of an occupied cell.
@@ -155,7 +162,7 @@ def _corner_scan(grid: Grid, c: Container, ew: int, eh: int) -> list[Box]:
             starts ^= low
             x = xs[low.bit_length() - 1]
             x2 = x + ew
-            if x2 > c.width:
+            if x2 > width:
                 break
             span = (1 << bisect_left(xs, x2)) - low
             if band & span or not below & span:
@@ -164,20 +171,23 @@ def _corner_scan(grid: Grid, c: Container, ew: int, eh: int) -> list[Box]:
     return out
 
 
-def _positions(grid: Grid, c: Container, shape: RectDims) -> list[Box]:
-    """Every corner of ``shape`` as a box, sorted by (y, x, rotated).
+def _orientations(shape: RectDims) -> tuple[tuple[int, int], ...]:
+    """The sides ``(ew, eh)`` of each orientation, unrotated first; one for a square."""
+    w, h = shape.width, shape.height
+    return ((w, h),) if w == h else ((w, h), (h, w))
 
-    A box is rotated when its width is not the shape's. A square is scanned
-    in one orientation, since rotating it changes nothing.
-    """
-    found = _corner_scan(grid, c, shape.width, shape.height)
-    if shape.is_square:
+
+def _positions(grid: Grid, c: Container, dims: tuple[tuple[int, int], ...]) -> list[Box]:
+    """Every corner of the shape with orientations ``dims`` as a box,
+    sorted by (y, x, rotated); a box is rotated when its width is not dims[0]'s."""
+    found = _corner_scan(grid, c, *dims[0])
+    if len(dims) == 1:
         return found
-    turned = _corner_scan(grid, c, shape.height, shape.width)
+    turned = _corner_scan(grid, c, *dims[1])
     if not (found and turned):
         return found or turned
     # The sort is stable, so at one (y, x) the unrotated box, listed first, stays first.
-    return sorted(found + turned, key=lambda box: (box[1], box[0]))
+    return sorted(found + turned, key=itemgetter(1, 0))
 
 
 def _supports(boxes: dict[int, Box], c: Container, target: Box) -> tuple[Support, Support]:
@@ -211,7 +221,7 @@ def enumerate_corners(p: Packing, shape: RectDims) -> list[Corner]:
     grid = _grid(list(boxes.values()), c.width, c.height)
     return [
         Corner(b[0], b[1], b[2] - b[0] != shape.width, *_supports(boxes, c, b))
-        for b in _positions(grid, c, shape)
+        for b in _positions(grid, c, _orientations(shape))
     ]
 
 
@@ -279,35 +289,38 @@ class _Board:
 
     ``boxes[i]`` is rectangle i's box, None while unplaced; ``path`` lists
     the placed indices from the root down; ``order`` is the solve's fixed
-    branching order. Rectangles of one shape up to rotation form a class and
-    ``prev[i]`` is the previous member of i's class, or None. Members are
-    placed in index order, so i is its class's next one exactly when it is
-    unplaced and ``prev[i]`` is None or placed. ``nodes`` holds a
-    ``[state, moves]`` record per node on the path, the root's first: the
-    node's state, and, once :meth:`descend` has expanded it, its move
-    iterator, else None. :meth:`place` and :meth:`unplace` are exact
-    inverses.
+    branching order; ``dims[i]`` is rectangle i's :func:`_orientations`.
+    Rectangles of one shape up to rotation form a class and ``prev[i]`` is
+    the previous member of i's class, or None. Members are placed in index
+    order, so i is its class's next one exactly when it is unplaced and
+    ``prev[i]`` is None or placed. ``nodes`` holds a ``[state, moves,
+    budget]`` record per node on the path, the root's first: the node's
+    state, its move iterator once :meth:`descend` has expanded it (else
+    None), and its dead-area budget. :meth:`place` and :meth:`unplace` are
+    exact inverses.
 
     Without a ``slack`` the state is the grid of the node's boxes, grown
     from its parent's by the last box (None on a full board, which is never
-    scanned). A ``slack`` (container area minus rectangle area) turns on
-    enhanced pruning: no box goes under or left of a placed one, so a free
-    cell with a placed box over it or right of it stays free (it is dead).
-    The placed and dead cells are then closed downward and leftward, and
-    the state is their staircase ``(xs, hs)``: step j spans [xs[j],
-    xs[j+1]) up to hs[j], ``xs`` ends with the width, and ``hs`` falls
-    strictly. The dead area is its area less the placed area. ``rights``
-    and ``tops`` index the placed boxes by right and by top edge.
+    scanned), and the budget is None. A ``slack`` (container area minus
+    rectangle area) turns on enhanced pruning: no box goes under or left of
+    a placed one, so a free cell with a placed box over it or right of it
+    stays free (it is dead). The placed and dead cells are then closed
+    downward and leftward, and the state is their staircase ``(xs, hs)``:
+    step j spans [xs[j], xs[j+1]) up to hs[j], ``xs`` ends with the width,
+    and ``hs`` falls strictly. The budget is the slack less the dead area
+    (the staircase's area less the placed area): the parent's, less the
+    box's kill. ``rights`` and ``tops`` index the placed boxes by right and
+    by top edge.
     """
 
     def __init__(self, instance: Instance, order: list[int], slack: int | None) -> None:
-        self.container, self.rects = instance.container, instance.rects
-        self.order, self.slack = order, slack
+        self.container, self.order, self.slack = instance.container, order, slack
         self.boxes: list[Box | None] = [None] * instance.n
         self.path: list[int] = []
+        self.dims = [_orientations(r) for r in instance.rects]
         last: dict[tuple[int, int], int] = {}
         self.prev: list[int | None] = []
-        for i, shape in enumerate(r.canonical() for r in instance.rects):
+        for i, shape in enumerate(min(d) for d in self.dims):  # the smaller side first
             self.prev.append(last.get(shape))
             last[shape] = i
         if slack is None:
@@ -316,28 +329,32 @@ class _Board:
             root = ([0, self.container.width], [0])
             self.rights: dict[int, list[Box]] = {}
             self.tops: dict[int, list[Box]] = {}
-        self.nodes: list[list] = [[root, None]]
+        self.nodes: list[list] = [[root, None, slack]]
 
     def place(self, i: int, box: Box) -> None:
         """Enter the child placing rectangle i at ``box``."""
-        state = self.nodes[-1][0]
+        state, _, budget = self.nodes[-1]
         self.boxes[i] = box
         self.path.append(i)
-        if self.slack is None:
+        if budget is None:
             full = len(self.path) == len(self.boxes)  # nothing is ever scanned on a full board
             state = None if full else _grow(state, box)
         else:
             # Columns left of the box rise to its top: keep the higher steps,
-            # add one at the top to the box's right edge, keep the rest.
-            (xs, hs), (x, _, x2, y2) = state, box
+            # add one at the top to the box's right edge, keep the rest. That
+            # rise, less the box's own area, is its kill.
+            (xs, hs), (x, y, x2, y2) = state, box
             a = bisect_left(xs, x)
             while a and hs[a - 1] <= y2:
                 a -= 1
+            budget += (x2 - x) * (y2 - y)
+            for m in range(a, bisect_left(xs, x2)):
+                budget -= (min(xs[m + 1], x2) - xs[m]) * (y2 - hs[m])
             c = bisect_right(xs, x2)
             state = [*xs[: a + 1], x2, *xs[c:]], [*hs[:a], y2, *hs[c - 1 :]]
-            self.rights.setdefault(box[2], []).append(box)
-            self.tops.setdefault(box[3], []).append(box)
-        self.nodes.append([state, None])
+            self.rights.setdefault(x2, []).append(box)
+            self.tops.setdefault(y2, []).append(box)
+        self.nodes.append([state, None, budget])
 
     def unplace(self) -> None:
         """Leave the current node for its parent, taking off the last box."""
@@ -356,27 +373,23 @@ class _Board:
         corners in (y, x, rotated) order; permuting identical shapes never
         gives a new packing. With a ``slack``, the corners are the
         staircase's (:meth:`_stair_corners`), less those that would leave
-        more dead area than the slack, since no completion covers a dead
-        cell. Resume only in the node the iterator began in.
+        more dead area than the node's budget, since no completion covers a
+        dead cell. Resume only in the node the iterator began in.
         """
-        c, boxes, prev, rects = self.container, self.boxes, self.prev, self.rects
-        state = self.nodes[-1][0]
-        if self.slack is not None:
-            xs, hs = state  # the dead area is the staircase's, less the placed area
-            budget = self.slack - sum((b - a) * h for a, b, h in zip(xs, xs[1:], hs))
-            budget += sum(rects[i].area for i in self.path)
+        c, boxes, prev, dims = self.container, self.boxes, self.prev, self.dims
+        state, _, budget = self.nodes[-1]
         for i in self.order:
             if boxes[i] is None and (prev[i] is None or boxes[prev[i]] is not None):
-                if self.slack is None:
-                    found = _positions(state, c, rects[i])
+                if budget is None:
+                    found = _positions(state, c, dims[i])
                 else:
-                    found = self._stair_corners(state, rects[i], budget)
+                    found = self._stair_corners(state, dims[i], budget)
                 for box in found:
                     yield i, box
 
-    def _stair_corners(self, stair: tuple, shape: RectDims, budget: int) -> list[Box]:
-        """The corners of ``shape`` on ``stair`` whose box kills at most
-        ``budget`` free area, sorted by (y, x, rotated).
+    def _stair_corners(self, stair: tuple, dims: tuple[tuple[int, int], ...], budget: int) -> list[Box]:
+        """The corners of the shape with orientations ``dims`` on ``stair``
+        whose box kills at most ``budget`` free area, sorted by (y, x, rotated).
 
         Each is a concave corner (xs[j], hs[j]) where the box fits, touches
         the border or a placed box on its left and below, and so covers no
@@ -385,15 +398,14 @@ class _Board:
         right edge to its top, less its own: the cells left of and below it.
         """
         xs, hs = stair
-        c, rights, tops = self.container, self.rights, self.tops
-        sides = (shape.width, shape.height)
-        dims = (sides,) if shape.is_square else (sides, sides[::-1])
+        rights, tops = self.rights, self.tops
+        width, height = self.container.width, self.container.height
         out = []
         for j in range(len(hs) - 1, -1, -1):  # rising y, since the heights fall
             x, y = xs[j], hs[j]
             for ew, eh in dims:
                 x2, y2 = x + ew, y + eh
-                if x2 > c.width or y2 > c.height:
+                if x2 > width or y2 > height:
                     continue
                 kill, m = 0, j
                 while m and hs[m - 1] < y2:

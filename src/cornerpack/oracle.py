@@ -22,8 +22,8 @@ class OracleLimits:
     max_states: int = 10**8
 
     def __post_init__(self):
-        if not self.max_states >= 1:  # rejects NaN too
-            raise ValueError(f"max_states must be positive, got {self.max_states}")
+        if not (type(self.max_states) is int and self.max_states >= 1):
+            raise ValueError(f"max_states must be a positive integer, got {self.max_states!r}")
 
 
 class OracleCapacityError(RuntimeError):
@@ -47,9 +47,9 @@ def _orientations(shape: RectDims) -> list[tuple[int, int, bool]]:
 
 def _free_boxes(
     shape: RectDims, width: int, height: int, placed: list[tuple[int, int, int, int]]
-) -> Iterator[tuple[tuple[int, int, int, int], Placement]]:
-    """Each in-container box of ``shape`` disjoint from ``placed``, with its
-    placement: unrotated before rotated, then by (y, x). Read lazily, so
+) -> Iterator[tuple[tuple[int, int, int, int], bool]]:
+    """Each in-container box of ``shape`` disjoint from ``placed``, and if it
+    is rotated: unrotated before rotated, then by (y, x). Read lazily, so
     ``placed`` must hold the same boxes whenever the generator resumes."""
     for ew, eh, rotated in _orientations(shape):
         if ew > width or eh > height:
@@ -61,7 +61,7 @@ def _free_boxes(
                     if not _disjoint(box, other):
                         break
                 else:
-                    yield box, Placement(x, y, rotated)
+                    yield box, rotated
 
 
 def oracle_feasible(instance: Instance, limits: OracleLimits | None = None) -> Packing | None:
@@ -81,26 +81,26 @@ def oracle_feasible(instance: Instance, limits: OracleLimits | None = None) -> P
     n = instance.n
     states = 0
     placed: list[tuple[int, int, int, int]] = []
-    chosen: list[Placement] = []
+    rotated: list[bool] = []
     pending = []  # one generator per entered state, for the rectangle it places next
     while True:
-        # Entering the state in which rectangles 0 .. len(chosen) - 1 are placed.
+        # Entering the state in which rectangles 0 .. len(placed) - 1 are placed.
         states += 1
         if states > limits.max_states:
             raise OracleCapacityError(
                 f"exceeded {limits.max_states} states on a {width}x{height} instance with {n} rectangles"
             )
-        if len(chosen) == n:
-            return Packing(instance, tuple(chosen))
-        pending.append(_free_boxes(instance.rects[len(chosen)], width, height, placed))
+        if len(placed) == n:
+            return Packing(instance, tuple(Placement(b[0], b[1], r) for b, r in zip(placed, rotated)))
+        pending.append(_free_boxes(instance.rects[len(placed)], width, height, placed))
         while (step := next(pending[-1], None)) is None:
             pending.pop()
             if not pending:
                 return None
             placed.pop()
-            chosen.pop()
+            rotated.pop()
         placed.append(step[0])
-        chosen.append(step[1])
+        rotated.append(step[1])
 
 
 def oracle_corners(p: Packing, shape: RectDims) -> list[tuple[int, int, bool]]:

@@ -15,10 +15,12 @@ bitboard of the placed boxes' distinct edges, grown by one box per
 placement. Enhanced mode keeps the staircase of the placed and dead
 cells instead: its corners are the staircase's concave corners, which
 need no overlap or dominance test, and a box's dead area is arithmetic
-on the steps. A child is placed on the board and later taken off, never
-re-validated. Frozen packings and validated actions stay at the API
-boundary: the result packing is built once, from the board's boxes,
-each box's orientation read off its width.
+on the steps, each node carrying its remaining dead-area budget. The
+board reads the rectangles' sides from a table built once per solve. A
+child is placed on the board and later taken off, never re-validated.
+Frozen packings and validated actions stay at the API boundary: the
+result packing is built once, from the board's boxes, each box's
+orientation read off its width.
 """
 
 from __future__ import annotations
@@ -73,10 +75,11 @@ class SolverConfig:
     def __post_init__(self):
         if self.rect_order not in RECT_ORDERS:
             raise ValueError(f"rect_order must be one of {RECT_ORDERS}, got {self.rect_order!r}")
-        if self.node_limit is not None and not self.node_limit >= 1:  # rejects NaN too
-            raise ValueError(f"node_limit must be positive, got {self.node_limit}")
-        if self.time_limit is not None and not self.time_limit > 0:  # rejects NaN too
-            raise ValueError(f"time_limit must be positive, got {self.time_limit}")
+        n, t = self.node_limit, self.time_limit
+        if n is not None and not (type(n) is int and n >= 1):
+            raise ValueError(f"node_limit must be a positive integer, got {n!r}")
+        if t is not None and (isinstance(t, bool) or not t > 0):  # rejects NaN too
+            raise ValueError(f"time_limit must be positive, got {t!r}")
 
 
 @dataclass(frozen=True)
@@ -164,19 +167,23 @@ def solve(instance: Instance, config: SolverConfig | None = None) -> SolveResult
 
     slack = instance.container.area - instance.total_rect_area if config.enhanced_pruning else None
     board = _Board(instance, sorted(range(instance.n), key=_order_key(config, instance)), slack)
+    node_limit, time_limit, clock = config.node_limit, config.time_limit, time.perf_counter
+    path, n, descend = board.path, instance.n, board.descend
     while True:
-        # Node entry: the board holds the node's packing, at depth len(board.path).
-        if (config.node_limit is not None and nodes >= config.node_limit) or (
-            config.time_limit is not None and time.perf_counter() - start > config.time_limit
+        # Node entry: the board holds the node's packing, at depth len(path).
+        if (node_limit is not None and nodes >= node_limit) or (
+            time_limit is not None and clock() - start > time_limit
         ):
             status = SolveStatus.UNKNOWN
             break
         nodes += 1
-        max_depth = max(max_depth, len(board.path))
-        if len(board.path) == instance.n:
+        depth = len(path)
+        if depth > max_depth:
+            max_depth = depth
+        if depth == n:
             status = SolveStatus.FEASIBLE
             break
-        if not board.descend():
+        if not descend():
             status = SolveStatus.INFEASIBLE
             break
     stats = SolveStats(nodes, max_depth, time.perf_counter() - start)

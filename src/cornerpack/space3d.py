@@ -33,8 +33,8 @@ class _Extents:
     def __post_init__(self):
         for name in ("width", "depth", "height"):
             v = getattr(self, name)
-            if v < 1:
-                raise ValueError(f"{name} must be at least 1, got {v}")
+            if not (type(v) is int and v >= 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
 
     @property
     def volume(self) -> int:
@@ -61,8 +61,8 @@ class PlacedBox3:
     def __post_init__(self):
         for name in ("x", "y", "z"):
             v = getattr(self, name)
-            if v < 0:
-                raise ValueError(f"{name} must be non-negative, got {v}")
+            if not (type(v) is int and v >= 0):
+                raise ValueError(f"{name} must be an integer >= 0, got {v!r}")
 
     @property
     def x2(self) -> int:

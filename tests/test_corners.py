@@ -24,7 +24,7 @@ from cornerpack import (
     oracle_corners,
     supporting_rects,
 )
-from cornerpack.corners import _Board, _grid, _positions, _supports
+from cornerpack.corners import _Board, _grid, _orientations, _positions, _supports
 from cornerpack.geometry import box_touches
 from cornerpack.solver import _dominated
 
@@ -271,7 +271,8 @@ def test_board_place_and_unplace_are_inverses_and_match_enumeration():
                 assert len(grid[0]) <= 2 * len(placed) + 2
                 small = random_shape(rng, 4, 4)
                 shape = RectDims(small.width * k, small.height * k)
-                on_board = [(b[0], b[1], b[2] - b[0] != shape.width) for b in _positions(grid, c, shape)]
+                scanned = _positions(grid, c, _orientations(shape))
+                on_board = [(b[0], b[1], b[2] - b[0] != shape.width) for b in scanned]
                 assert on_board == [corner.position for corner in enumerate_corners(current, shape)]
                 if k == 1:
                     assert on_board == oracle_corners(current, shape)
@@ -330,9 +331,10 @@ def test_board_descend_walks_the_whole_tree_depth_first():
     # after it the board's path, boxes and node records agree (every node
     # but the new one expanded; in plain mode its grid the placed boxes',
     # None when full; in enhanced mode its staircase the columns of the
-    # placed and dead cells, whose dead area stays within the slack), and
-    # it returns False exactly when no node has moves left, with the board
-    # back at the empty root.
+    # placed and dead cells, whose dead area stays within the slack, and
+    # its budget the slack less the dead cells, counted cell by cell; None
+    # in plain mode), and it returns False exactly when no node has moves
+    # left, with the board back at the empty root.
     rng = random.Random(6061)
     entered = 0
     for _ in range(60):
@@ -341,6 +343,7 @@ def test_board_descend_walks_the_whole_tree_depth_first():
         instance = Instance(c, rects[: rng.randint(1, len(rects))])  # zero slack or not
         for slack in (None, c.area - instance.total_rect_area):
             board = _Board(instance, rng.sample(range(instance.n), instance.n), slack)
+            assert board.nodes[0][2] == slack
             pending = []  # per node on the path, its moves not yet entered
             while True:
                 pending.append(list(board.moves()))
@@ -358,10 +361,12 @@ def test_board_descend_walks_the_whole_tree_depth_first():
                 if slack is None:
                     full = len(placed) == instance.n
                     assert board.nodes[-1][0] == (None if full else _grid(boxes, c.width, c.height))
+                    assert board.nodes[-1][2] is None
                 else:
                     dead = dead_cells(boxes, c)
                     assert len(dead) <= slack
                     assert board.nodes[-1][0] == column_steps(covered_cells(boxes) | dead, c)
+                    assert board.nodes[-1][2] == slack - len(dead)
             assert pending == [] and board.path == [] and not any(board.boxes)
             assert len(board.nodes) == 1
     assert entered > 1_000
@@ -391,7 +396,7 @@ def test_staircase_corners_are_the_undominated_scan_corners_within_the_budget():
             stair = board.nodes[-1][0]
             placed = [b for b in board.boxes if b is not None]
             dead = len(dead_cells(placed, c))
-            scanned = _positions(_grid(placed, c.width, c.height), c, shape)
+            scanned = _positions(_grid(placed, c.width, c.height), c, _orientations(shape))
             kills = {
                 box: len(dead_cells([*placed, box], c)) - dead
                 for box in scanned
@@ -399,13 +404,13 @@ def test_staircase_corners_are_the_undominated_scan_corners_within_the_budget():
             }
             budget = rng.choice([0, 0, rng.randint(1, 8)])
             children = [box for box, kill in kills.items() if kill <= budget]
-            assert board._stair_corners(stair, shape, budget) == children
+            assert board._stair_corners(stair, _orientations(shape), budget) == children
             assert [box for j, box in board.moves() if j == i] == [
                 box for box, kill in kills.items() if kill <= slack - dead
             ]
             for box, kill in kills.items():
-                assert box in board._stair_corners(stair, shape, kill)
-                assert box not in board._stair_corners(stair, shape, kill - 1)
+                assert box in board._stair_corners(stair, _orientations(shape), kill)
+                assert box not in board._stair_corners(stair, _orientations(shape), kill - 1)
             kept += len(children)
             dominated += len(scanned) - len(kills)
             over += len(kills) - len(children)
@@ -426,8 +431,9 @@ def test_staircase_is_the_closed_set_of_placed_and_dead_cells():
     # backing out. The placed and dead cells, counted cell by cell from the
     # boxes, stay closed downward and leftward, so they form a staircase,
     # and every node record holds exactly that staircase, its heights
-    # strictly falling; each unplace restores the boxes, path, records and
-    # the contact indices by right and top edge.
+    # strictly falling, and as its budget the slack less the dead cells;
+    # each unplace restores the boxes, path, records and the contact
+    # indices by right and top edge.
     rng = random.Random(2718)
     states = 0
     for _ in range(300):
@@ -441,8 +447,10 @@ def test_staircase_is_the_closed_set_of_placed_and_dead_cells():
         saved = []
         for _ in range(3 * instance.n):
             boxes = [b for b in board.boxes if b is not None]
-            cells = covered_cells(boxes) | dead_cells(boxes, c)
+            dead = dead_cells(boxes, c)
+            cells = covered_cells(boxes) | dead
             assert all((x == 0 or (x - 1, y) in cells) and (y == 0 or (x, y - 1) in cells) for x, y in cells)
+            assert board.nodes[-1][2] == c.area - len(dead)
             xs, hs = board.nodes[-1][0]
             assert (xs, hs) == column_steps(cells, c)
             assert all(a > b for a, b in zip(hs, hs[1:]))

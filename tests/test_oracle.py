@@ -61,7 +61,7 @@ def test_oracle_decision_is_permutation_invariant():
 
 
 def test_oracle_limits_validation():
-    for bad in (0, float("nan"), -1.0, float("-inf")):
+    for bad in (0, float("nan"), -1.0, float("-inf"), 2.5, 3.0, True):
         with pytest.raises(ValueError):
             OracleLimits(max_states=bad)
 

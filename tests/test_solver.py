@@ -55,12 +55,12 @@ def test_empty_instance_is_feasible():
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(rect_order="biggest")
-    for bad in (0, float("nan"), -1.0, float("-inf")):
+    for bad in (0, float("nan"), -1.0, float("-inf"), 2.5, 3.0, True):
         with pytest.raises(ValueError):
             SolverConfig(node_limit=bad)
     with pytest.raises(ValueError):
         SolverConfig(time_limit=0.0)
-    for bad in (float("nan"), -1.0, float("-inf")):
+    for bad in (float("nan"), -1.0, float("-inf"), True, False):
         with pytest.raises(ValueError):
             SolverConfig(time_limit=bad)
 

@@ -46,6 +46,25 @@ def test_placed_box_rejects_negative_coordinates():
         PlacedBox3(BoxDims(1, 1, 1), 0, 0, -3)
 
 
+NON_INTEGERS = [float("nan"), 1.5, 2.0, True, False]
+
+
+@pytest.mark.parametrize("bad", NON_INTEGERS)
+def test_extents_must_be_integers(bad):
+    # NaN passes a bare ``< 1`` test; a bool is an int subclass.
+    for cls in (BoxDims, Container3):
+        for extents in ((bad, 1, 1), (1, bad, 1), (1, 1, bad)):
+            with pytest.raises(ValueError, match="must be an integer >= 1"):
+                cls(*extents)
+
+
+@pytest.mark.parametrize("bad", NON_INTEGERS)
+def test_placed_box_coordinates_must_be_integers(bad):
+    for coords in ((bad, 0, 0), (0, bad, 0), (0, 0, bad)):
+        with pytest.raises(ValueError, match="must be an integer >= 0"):
+            PlacedBox3(BoxDims(1, 1, 1), *coords)
+
+
 def test_volume_and_far_corner():
     b = box(2, 3, 4, 1, 0, 5)
     assert b.dims.volume == 24
