@@ -3,9 +3,12 @@
 Instance files describe a container and rectangle list; solution files
 carry a feasibility flag and, when feasible, one placement per rectangle
 with 1-based indices. Parsing is strict: unknown fields, wrong types and
-out-of-range values are rejected with the offending field named. Emission
-is canonical (two-space indent, placements sorted by index, trailing
-newline) so emit and parse round-trip byte-identically.
+out-of-range values are rejected with the offending field named; each
+entry is checked by plain comparisons, and a field path is formatted only
+for the error. Emission is canonical (two-space indent, placements sorted
+by index, trailing newline) so emit and parse round-trip byte-identically.
+It is written as text, the exact bytes of ``json.dumps(doc, indent=2)``
+and a newline: every value is an integer or a boolean.
 """
 
 from __future__ import annotations
@@ -68,6 +71,11 @@ def parse_instance(text: str) -> Instance:
         raise FileFormatError("rectangles: expected an array")
     rects = []
     for k, entry in enumerate(doc["rectangles"]):
+        if type(entry) is dict and len(entry) == 2:
+            w, h = entry.get("width"), entry.get("height")
+            if type(w) is int and w >= 1 and type(h) is int and h >= 1:
+                rects.append(RectDims(w, h))
+                continue
         path = f"rectangles[{k}]"
         obj = _object(entry, path, ("width", "height"))
         rects.append(
@@ -76,15 +84,21 @@ def parse_instance(text: str) -> Instance:
     return Instance(container, tuple(rects))
 
 
+def _array(entries: list[str]) -> str:
+    """A list at the top level of a document, as ``json.dumps(indent=2)`` writes it."""
+    return "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
+
+
 def emit_instance(instance: Instance) -> str:
-    doc = {
-        "container": {
-            "width": instance.container.width,
-            "height": instance.container.height,
-        },
-        "rectangles": [{"width": r.width, "height": r.height} for r in instance.rects],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    c = instance.container
+    rects = [
+        f'    {{\n      "width": {r.width},\n      "height": {r.height}\n    }}'
+        for r in instance.rects
+    ]
+    return (
+        f'{{\n  "container": {{\n    "width": {c.width},\n    "height": {c.height}\n  }},\n'
+        f'  "rectangles": {_array(rects)}\n}}\n'
+    )
 
 
 def parse_solution(text: str, instance: Instance) -> Packing | None:
@@ -111,19 +125,22 @@ def parse_solution(text: str, instance: Instance) -> Packing | None:
         raise FileFormatError("document: missing field 'placements'")
     if not isinstance(doc["placements"], list):
         raise FileFormatError("placements: expected an array")
-    placements: list[Placement | None] = [None] * instance.n
-    seen = set()
+    n = instance.n
+    placements: list[Placement | None] = [None] * n
     for k, entry in enumerate(doc["placements"]):
+        if type(entry) is dict and len(entry) == 4:
+            index, x, y, rotated = map(entry.get, ("index", "x", "y", "rotated"))
+            fresh = type(index) is int and 1 <= index <= n and placements[index - 1] is None
+            if fresh and type(x) is int and x >= 0 and type(y) is int and y >= 0 and type(rotated) is bool:
+                placements[index - 1] = Placement(x, y, rotated)
+                continue
         path = f"placements[{k}]"
         obj = _object(entry, path, ("index", "x", "y", "rotated"))
         index = _int(obj["index"], f"{path}.index", 1)
-        if index > instance.n:
-            raise FileFormatError(
-                f"{path}.index: instance has {instance.n} rectangles, got index {index}"
-            )
-        if index in seen:
+        if index > n:
+            raise FileFormatError(f"{path}.index: instance has {n} rectangles, got index {index}")
+        if placements[index - 1] is not None:
             raise FileFormatError(f"{path}.index: duplicate index {index}")
-        seen.add(index)
         placements[index - 1] = Placement(
             _int(obj["x"], f"{path}.x", 0),
             _int(obj["y"], f"{path}.y", 0),
@@ -135,9 +152,11 @@ def parse_solution(text: str, instance: Instance) -> Packing | None:
 def emit_solution(packing: Packing | None) -> str:
     """Canonical solution document; None means infeasible."""
     if packing is None:
-        return json.dumps({"feasible": False}, indent=2) + "\n"
+        return '{\n  "feasible": false\n}\n'
     placements = [
-        {"index": i + 1, "x": r.x, "y": r.y, "rotated": packing.placements[i].rotated}
-        for i, r in sorted(packing.iter_placed(), key=lambda pair: pair[0])
+        f'    {{\n      "index": {i + 1},\n      "x": {pl.x},\n      "y": {pl.y},\n'
+        f'      "rotated": {"true" if pl.rotated else "false"}\n    }}'
+        for i, pl in enumerate(packing.placements)
+        if pl is not None
     ]
-    return json.dumps({"feasible": True, "placements": placements}, indent=2) + "\n"
+    return f'{{\n  "feasible": true,\n  "placements": {_array(placements)}\n}}\n'

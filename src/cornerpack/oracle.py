@@ -4,7 +4,9 @@ Everything here trades speed for obviousness: exhaustive scans over every
 integral position, with validity spelled out as direct arithmetic. The
 point is to have an independent answer to compare the real solver and the
 corner enumerator against, so this module deliberately shares no search
-logic with them.
+logic with them. The feasibility search still considers every position,
+but a row skips the positions that one blocking box covers, so its work
+is bounded by rows and boxes rather than by cells.
 """
 
 from __future__ import annotations
@@ -49,19 +51,24 @@ def _free_boxes(
     shape: RectDims, width: int, height: int, placed: list[tuple[int, int, int, int]]
 ) -> Iterator[tuple[tuple[int, int, int, int], bool]]:
     """Each in-container box of ``shape`` disjoint from ``placed``, and if it
-    is rotated: unrotated before rotated, then by (y, x). Read lazily, so
-    ``placed`` must hold the same boxes whenever the generator resumes."""
+    is rotated: unrotated before rotated, then by (y, x). A box that meets
+    ``other`` still meets it one cell further right, up to ``other``'s right
+    edge, so a row resumes there. Read lazily, so ``placed`` must hold the
+    same boxes whenever the generator resumes."""
     for ew, eh, rotated in _orientations(shape):
         if ew > width or eh > height:
             continue
         for y in range(height - eh + 1):
-            for x in range(width - ew + 1):
+            x = 0
+            while x <= width - ew:
                 box = (x, y, x + ew, y + eh)
                 for other in placed:
                     if not _disjoint(box, other):
+                        x = other[2]
                         break
                 else:
                     yield box, rotated
+                    x += 1
 
 
 def oracle_feasible(instance: Instance, limits: OracleLimits | None = None) -> Packing | None:
