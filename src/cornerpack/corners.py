@@ -16,7 +16,8 @@ node's grid from its parent's by one box (:func:`_grow`). In enhanced
 mode the placed and dead cells form a staircase, which each box climbs;
 the corners are its concave corners, where a box is never dominated, a
 box's dead area is read off the steps, and each node carries its
-remaining dead-area budget. A single position, such as an action's, is
+remaining dead-area budget; the scan stops summing a box's dead area
+once it passes that budget. A single position, such as an action's, is
 checked by the definition in :func:`_supports`, from the boxes that
 overlap or touch it, which also names its supports.
 """
@@ -317,11 +318,12 @@ class _Board:
         self.container, self.order, self.slack = instance.container, order, slack
         self.boxes: list[Box | None] = [None] * instance.n
         self.path: list[int] = []
-        self.dims = [_orientations(r) for r in instance.rects]
-        last: dict[tuple[int, int], int] = {}
+        self.dims: list[tuple[tuple[int, int], ...]] = []
         self.prev: list[int | None] = []
-        for i, shape in enumerate(min(d) for d in self.dims):  # the smaller side first
-            self.prev.append(last.get(shape))
+        last: dict[tuple[int, int], int] = {}
+        for i, r in enumerate(instance.rects):
+            self.dims.append(dims := _orientations(r))
+            self.prev.append(last.get(shape := min(dims)))  # the smaller side first
             last[shape] = i
         if slack is None:
             root: tuple = ([0, self.container.width], [0, self.container.height], [0])
@@ -396,6 +398,7 @@ class _Board:
         placed or dead cell and has no placed box over it or right of it.
         Its kill is the area by which it raises every column left of its
         right edge to its top, less its own: the cells left of and below it.
+        Every step adds area to it, so each sum stops once past the budget.
         """
         xs, hs = stair
         rights, tops = self.rights, self.tops
@@ -408,19 +411,27 @@ class _Board:
                 if x2 > width or y2 > height:
                     continue
                 kill, m = 0, j
-                while m and hs[m - 1] < y2:
+                while kill <= budget and m and hs[m - 1] < y2:
                     m -= 1
                     kill += (xs[m + 1] - xs[m]) * (y2 - hs[m])
                 m = j + 1
-                while xs[m] < x2:
+                while kill <= budget and xs[m] < x2:
                     kill += (min(xs[m + 1], x2) - xs[m]) * (y - hs[m])
                     m += 1
                 if kill > budget:
                     continue  # first: arithmetic on the steps, cheaper than the contact scans
-                if x and not any(b[1] < y2 and b[3] > y for b in rights.get(x, ())):
-                    continue
-                if y and not any(b[0] < x2 and b[2] > x for b in tops.get(y, ())):
-                    continue
+                if x:
+                    for b in rights[x]:
+                        if b[1] < y2 and b[3] > y:
+                            break
+                    else:
+                        continue  # no placed box touches the left
+                if y:
+                    for b in tops[y]:
+                        if b[0] < x2 and b[2] > x:
+                            break
+                    else:
+                        continue  # no placed box touches the bottom
                 out.append((x, y, x2, y2))
         return out
 

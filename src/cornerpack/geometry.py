@@ -75,9 +75,12 @@ class Placement:
     rotated: bool = False
 
     def __post_init__(self) -> None:
-        x, y = self.x, self.y
-        if not (type(x) is int and x >= 0 and type(y) is int and y >= 0):
-            raise ValueError(f"placement coordinates must be integers >= 0, got ({x!r}, {y!r})")
+        x, y, rotated = self.x, self.y, self.rotated
+        if not (type(x) is int and x >= 0 and type(y) is int and y >= 0 and type(rotated) is bool):
+            raise ValueError(
+                "placement coordinates must be integers >= 0 and rotated a bool, "
+                f"got ({x!r}, {y!r}, {rotated!r})"
+            )
 
 
 # A placed rectangle as the half-open box (x1, y1, x2, y2).

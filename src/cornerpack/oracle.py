@@ -41,21 +41,19 @@ def _disjoint(a: tuple[int, int, int, int], b: tuple[int, int, int, int]) -> boo
 
 
 def _orientations(shape: RectDims) -> list[tuple[int, int, bool]]:
-    out = [(shape.width, shape.height, False)]
-    if not shape.is_square:
-        out.append((shape.height, shape.width, True))
-    return out
+    w, h = shape.width, shape.height
+    return [(w, h, False)] if w == h else [(w, h, False), (h, w, True)]
 
 
 def _free_boxes(
-    shape: RectDims, width: int, height: int, placed: list[tuple[int, int, int, int]]
+    dims: list[tuple[int, int, bool]], width: int, height: int, placed: list[tuple[int, int, int, int]]
 ) -> Iterator[tuple[tuple[int, int, int, int], bool]]:
-    """Each in-container box of ``shape`` disjoint from ``placed``, and if it
-    is rotated: unrotated before rotated, then by (y, x). A box that meets
-    ``other`` still meets it one cell further right, up to ``other``'s right
-    edge, so a row resumes there. Read lazily, so ``placed`` must hold the
-    same boxes whenever the generator resumes."""
-    for ew, eh, rotated in _orientations(shape):
+    """Each in-container box of a shape with orientations ``dims`` disjoint
+    from ``placed``, and if it is rotated: unrotated before rotated, then by
+    (y, x). A box that meets ``other`` still meets it one cell further right,
+    up to ``other``'s right edge, so a row resumes there. Read lazily, so
+    ``placed`` must hold the same boxes whenever the generator resumes."""
+    for ew, eh, rotated in dims:
         if ew > width or eh > height:
             continue
         for y in range(height - eh + 1):
@@ -82,10 +80,11 @@ def oracle_feasible(instance: Instance, limits: OracleLimits | None = None) -> P
     keeps one pending-box generator per rectangle on an explicit stack, so
     Python's recursion limit does not bound the number of rectangles.
     """
-    limits = limits or OracleLimits()
+    max_states = limits.max_states if limits else OracleLimits.max_states  # no default object built
     width = instance.container.width
     height = instance.container.height
     n = instance.n
+    dims = [_orientations(r) for r in instance.rects]  # read at every state
     states = 0
     placed: list[tuple[int, int, int, int]] = []
     rotated: list[bool] = []
@@ -93,13 +92,13 @@ def oracle_feasible(instance: Instance, limits: OracleLimits | None = None) -> P
     while True:
         # Entering the state in which rectangles 0 .. len(placed) - 1 are placed.
         states += 1
-        if states > limits.max_states:
+        if states > max_states:
             raise OracleCapacityError(
-                f"exceeded {limits.max_states} states on a {width}x{height} instance with {n} rectangles"
+                f"exceeded {max_states} states on a {width}x{height} instance with {n} rectangles"
             )
         if len(placed) == n:
             return Packing(instance, tuple(Placement(b[0], b[1], r) for b, r in zip(placed, rotated)))
-        pending.append(_free_boxes(instance.rects[len(placed)], width, height, placed))
+        pending.append(_free_boxes(dims[len(placed)], width, height, placed))
         while (step := next(pending[-1], None)) is None:
             pending.pop()
             if not pending:

@@ -15,9 +15,11 @@ bitboard of the placed boxes' distinct edges, grown by one box per
 placement. Enhanced mode keeps the staircase of the placed and dead
 cells instead: its corners are the staircase's concave corners, which
 need no overlap or dominance test, and a box's dead area is arithmetic
-on the steps, each node carrying its remaining dead-area budget. The
-board reads the rectangles' sides from a table built once per solve. A
-child is placed on the board and later taken off, never re-validated.
+on the steps, each node carrying its remaining dead-area budget. That
+sum stops once it passes the budget, so at zero slack the first step a
+box raises rules it out. The board reads the rectangles' sides from a
+table built once per solve. A child is placed on the board and later
+taken off, never re-validated.
 Frozen packings and validated actions stay at the API boundary: the
 result packing is built once, from the board's boxes, each box's
 orientation read off its width.
@@ -115,20 +117,21 @@ def quick_reject(instance: Instance) -> str | None:
             f"total rectangle area {instance.total_rect_area} exceeds "
             f"container area {c.area}"
         )
-    cw, ch = min(c.width, c.height), max(c.width, c.height)
+    cw, ch = c.width, c.height
     for i, shape in enumerate(instance.rects):
-        lo, hi = shape.canonical()
-        if lo > cw or hi > ch:
-            return f"rectangle {i} ({shape.width}x{shape.height}) fits in neither orientation"
+        w, h = shape.width, shape.height
+        if (w > cw or h > ch) and (h > cw or w > ch):
+            return f"rectangle {i} ({w}x{h}) fits in neither orientation"
     return None
 
 
 def _order_key(config: SolverConfig, instance: Instance):
+    """A sort key for the indices; the sort is stable, so ties stay in index order."""
     if config.rect_order == "area":
-        return lambda i: (-instance.rects[i].area, i)
-    if config.rect_order == "perimeter":
-        return lambda i: (-instance.rects[i].perimeter, i)
-    return lambda i: i
+        return [-r.width * r.height for r in instance.rects].__getitem__
+    if config.rect_order == "perimeter":  # half the perimeter orders alike
+        return [-r.width - r.height for r in instance.rects].__getitem__
+    return None
 
 
 def _dominated(boxes: list[Box | None], new: Box) -> bool:

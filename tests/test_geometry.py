@@ -76,6 +76,13 @@ def test_placement_coordinates_must_be_integers(bad):
             Placement(*coords)
 
 
+@pytest.mark.parametrize("bad", ["no", 1, 0, None])
+def test_placement_rotated_must_be_a_bool(bad):
+    # A truthy string or int would otherwise be read as rotated.
+    with pytest.raises(ValueError, match="^placement coordinates must be integers >= 0 and rotated a bool"):
+        Placement(0, 0, bad)
+
+
 def test_nan_wide_rectangle_is_rejected_before_any_solve():
     with pytest.raises(ValueError):
         Instance(Container(2, 2), (RectDims(float("nan"), 1),))

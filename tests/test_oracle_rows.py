@@ -31,7 +31,7 @@ def test_free_boxes_are_every_free_position_in_scan_order():
             # Overlapping placed boxes must not change the answer either.
             placed.append((rng.randint(0, 3), rng.randint(0, 3), rng.randint(4, 9), rng.randint(4, 9)))
         shape = random_shape(rng, 5, 5)
-        assert list(_free_boxes(shape, c.width, c.height, placed)) == every_cell_scan(
+        assert list(_free_boxes(_orientations(shape), c.width, c.height, placed)) == every_cell_scan(
             shape, c.width, c.height, placed
         )
 

@@ -66,3 +66,35 @@ def test_seed_0_tiling_slice_is_never_refuted():
             decided += outcome.decided
     # The budget must let some searches reach a packing, or nothing is checked.
     assert decided > 0
+
+
+# Per (mode, order): total nodes_expanded and total max_depth over the
+# tiling and nearmiss slices above, each written as the tiling slice's sum
+# plus the nearmiss slice's. A speed change to the search must keep
+# every tree, so these sums must not move; a change that alters the trees
+# on purpose re-pins them and says why.
+PINNED_TREES = {
+    ("enhanced", "input"): (971 + 2213, 457 + 120),
+    ("plain", "input"): (959 + 4070, 492 + 120),
+    ("enhanced", "area"): (798 + 2213, 504 + 120),
+    ("plain", "area"): (737 + 4070, 517 + 120),
+    ("enhanced", "perimeter"): (734 + 2213, 507 + 120),
+    ("plain", "perimeter"): (728 + 4070, 516 + 120),
+}
+
+
+def test_seed_0_tiling_and_nearmiss_slices_keep_their_search_trees():
+    workloads = load_perfbench("workloads")
+    items = workloads.make_tiling(0)[::10] + workloads.make_nearmiss(0)[::9]
+    sums = {}
+    for mode, enhanced in workloads.MODES:
+        for order in RECT_ORDERS:
+            results = [
+                solve(item.instance, workloads.solver_config(enhanced, item.budget, order))
+                for item in items
+            ]
+            sums[mode, order] = (
+                sum(r.stats.nodes_expanded for r in results),
+                sum(r.stats.max_depth for r in results),
+            )
+    assert sums == PINNED_TREES
