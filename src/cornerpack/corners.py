@@ -14,12 +14,12 @@ shape. The search's :class:`_Board` owns the depth-first walk and reads
 the sides from a table built once per solve. In plain mode it grows each
 node's grid from its parent's by one box (:func:`_grow`). In enhanced
 mode the placed and dead cells form a staircase, which each box climbs;
-the corners are its concave corners, where a box is never dominated, a
-box's dead area is read off the steps, and each node carries its
-remaining dead-area budget; the scan stops summing a box's dead area
-once it passes that budget. A single position, such as an action's, is
-checked by the definition in :func:`_supports`, from the boxes that
-overlap or touch it, which also names its supports.
+the corners are its concave corners, where a box is never dominated, and
+each node carries its remaining dead-area budget. The scan alone sums a
+box's dead area off the steps, stopping once past the budget, and hands
+each corner on with the budget its child keeps. A single position, such
+as an action's, is checked by the definition in :func:`_supports`, from
+the boxes that overlap or touch it, which also names its supports.
 """
 
 from __future__ import annotations
@@ -298,7 +298,7 @@ class _Board:
     budget]`` record per node on the path, the root's first: the node's
     state, its move iterator once :meth:`descend` has expanded it (else
     None), and its dead-area budget. :meth:`place` and :meth:`unplace` are
-    exact inverses.
+    exact inverses; :meth:`unplace` reads the mode off the record it pops.
 
     Without a ``slack`` the state is the grid of the node's boxes, grown
     from its parent's by the last box (None on a full board, which is never
@@ -310,12 +310,13 @@ class _Board:
     step j spans [xs[j], xs[j+1]) up to hs[j], ``xs`` ends with the width,
     and ``hs`` falls strictly. The budget is the slack less the dead area
     (the staircase's area less the placed area): the parent's, less the
-    box's kill. ``rights`` and ``tops`` index the placed boxes by right and
-    by top edge.
+    box's kill, which :meth:`_stair_corners` sums once and :meth:`moves`
+    hands on with the box. ``rights`` and ``tops`` index the placed boxes
+    by right and by top edge.
     """
 
     def __init__(self, instance: Instance, order: list[int], slack: int | None) -> None:
-        self.container, self.order, self.slack = instance.container, order, slack
+        self.container, self.order = instance.container, order
         self.boxes: list[Box | None] = [None] * instance.n
         self.path: list[int] = []
         self.dims: list[tuple[tuple[int, int], ...]] = []
@@ -333,9 +334,10 @@ class _Board:
             self.tops: dict[int, list[Box]] = {}
         self.nodes: list[list] = [[root, None, slack]]
 
-    def place(self, i: int, box: Box) -> None:
-        """Enter the child placing rectangle i at ``box``."""
-        state, _, budget = self.nodes[-1]
+    def place(self, i: int, box: Box, budget: int | None) -> None:
+        """Enter the child placing rectangle i at ``box``, whose dead-area
+        ``budget`` is the one :meth:`moves` gave with it (None in plain mode)."""
+        state = self.nodes[-1][0]
         self.boxes[i] = box
         self.path.append(i)
         if budget is None:
@@ -343,15 +345,11 @@ class _Board:
             state = None if full else _grow(state, box)
         else:
             # Columns left of the box rise to its top: keep the higher steps,
-            # add one at the top to the box's right edge, keep the rest. That
-            # rise, less the box's own area, is its kill.
+            # add one at the top to the box's right edge, keep the rest.
             (xs, hs), (x, y, x2, y2) = state, box
             a = bisect_left(xs, x)
             while a and hs[a - 1] <= y2:
                 a -= 1
-            budget += (x2 - x) * (y2 - y)
-            for m in range(a, bisect_left(xs, x2)):
-                budget -= (min(xs[m + 1], x2) - xs[m]) * (y2 - hs[m])
             c = bisect_right(xs, x2)
             state = [*xs[: a + 1], x2, *xs[c:]], [*hs[:a], y2, *hs[c - 1 :]]
             self.rights.setdefault(x2, []).append(box)
@@ -361,15 +359,15 @@ class _Board:
     def unplace(self) -> None:
         """Leave the current node for its parent, taking off the last box."""
         i = self.path.pop()
-        if self.slack is not None:
+        if self.nodes.pop()[2] is not None:  # enhanced mode
             _, _, x2, y2 = self.boxes[i]
             self.rights[x2].pop()
             self.tops[y2].pop()
         self.boxes[i] = None
-        self.nodes.pop()
 
-    def moves(self) -> Iterator[tuple[int, Box]]:
-        """The corner placements ``(i, box)`` out of the current node, lazily.
+    def moves(self) -> Iterator[tuple[int, Box, int | None]]:
+        """The corner placements ``(i, box, budget)`` out of the current node,
+        lazily, each with the child's dead-area budget (None in plain mode).
 
         Each class's next member, in ``order``, goes onto each of its
         corners in (y, x, rotated) order; permuting identical shapes never
@@ -383,15 +381,18 @@ class _Board:
         for i in self.order:
             if boxes[i] is None and (prev[i] is None or boxes[prev[i]] is not None):
                 if budget is None:
-                    found = _positions(state, c, dims[i])
+                    for box in _positions(state, c, dims[i]):
+                        yield i, box, None
                 else:
-                    found = self._stair_corners(state, dims[i], budget)
-                for box in found:
-                    yield i, box
+                    for box, left in self._stair_corners(state, dims[i], budget):
+                        yield i, box, left
 
-    def _stair_corners(self, stair: tuple, dims: tuple[tuple[int, int], ...], budget: int) -> list[Box]:
+    def _stair_corners(
+        self, stair: tuple, dims: tuple[tuple[int, int], ...], budget: int
+    ) -> list[tuple[Box, int]]:
         """The corners of the shape with orientations ``dims`` on ``stair``
-        whose box kills at most ``budget`` free area, sorted by (y, x, rotated).
+        whose box kills at most ``budget`` free area, sorted by (y, x, rotated),
+        each as ``(box, budget - kill)``: the box and the child's budget.
 
         Each is a concave corner (xs[j], hs[j]) where the box fits, touches
         the border or a placed box on its left and below, and so covers no
@@ -432,7 +433,7 @@ class _Board:
                             break
                     else:
                         continue  # no placed box touches the bottom
-                out.append((x, y, x2, y2))
+                out.append(((x, y, x2, y2), budget - kill))
         return out
 
     def descend(self) -> bool:
@@ -440,8 +441,8 @@ class _Board:
         order, backing out of exhausted nodes; False once the root is exhausted."""
         self.nodes[-1][1] = self.moves()
         while True:
-            for i, box in self.nodes[-1][1]:
-                self.place(i, box)
+            for i, box, budget in self.nodes[-1][1]:
+                self.place(i, box, budget)
                 return True
             if not self.path:
                 return False

@@ -112,26 +112,20 @@ def oracle_feasible(instance: Instance, limits: OracleLimits | None = None) -> P
 def oracle_corners(p: Packing, shape: RectDims) -> list[tuple[int, int, bool]]:
     """Every (x, y, rotated) that is a bottom-left corner for ``shape``.
 
-    Scans all integral positions inside the container and tests each one
-    literally: no overlap with placed rectangles, and a unit move down or
-    left would collide or leave the container. Squares report only
-    rotated=False. Sorted by (y, x, rotated).
+    Takes every in-container position overlapping no placed rectangle
+    (:func:`_free_boxes`, as the feasibility search does) and tests each
+    one literally: a unit move down or left would collide or leave the
+    container. Squares report only rotated=False. Sorted by (y, x, rotated).
     """
-    width = p.instance.container.width
-    height = p.instance.container.height
+    c = p.instance.container
     placed = list(p.boxes().values())
     out = []
-    for ew, eh, rotated in _orientations(shape):
-        for y in range(max(0, height - eh + 1)):
-            for x in range(max(0, width - ew + 1)):
-                box = (x, y, x + ew, y + eh)
-                if not all(_disjoint(box, other) for other in placed):
-                    continue
-                down = (x, y - 1, x + ew, y + eh - 1)
-                left = (x - 1, y, x + ew - 1, y + eh)
-                down_blocked = y == 0 or not all(_disjoint(down, other) for other in placed)
-                left_blocked = x == 0 or not all(_disjoint(left, other) for other in placed)
-                if down_blocked and left_blocked:
-                    out.append((x, y, rotated))
-    out.sort(key=lambda c: (c[1], c[0], c[2]))
+    for (x, y, x2, y2), rotated in _free_boxes(_orientations(shape), c.width, c.height, placed):
+        down = (x, y - 1, x2, y2 - 1)
+        left = (x - 1, y, x2 - 1, y2)
+        down_blocked = y == 0 or not all(_disjoint(down, other) for other in placed)
+        left_blocked = x == 0 or not all(_disjoint(left, other) for other in placed)
+        if down_blocked and left_blocked:
+            out.append((x, y, rotated))
+    out.sort(key=lambda pos: (pos[1], pos[0], pos[2]))
     return out

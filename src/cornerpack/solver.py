@@ -15,11 +15,12 @@ bitboard of the placed boxes' distinct edges, grown by one box per
 placement. Enhanced mode keeps the staircase of the placed and dead
 cells instead: its corners are the staircase's concave corners, which
 need no overlap or dominance test, and a box's dead area is arithmetic
-on the steps, each node carrying its remaining dead-area budget. That
-sum stops once it passes the budget, so at zero slack the first step a
-box raises rules it out. The board reads the rectangles' sides from a
-table built once per solve. A child is placed on the board and later
-taken off, never re-validated.
+on the steps, each node carrying its remaining dead-area budget. The
+corner scan sums it once per box and hands the child its budget with
+the box; the sum stops once it passes the budget, so at zero slack the
+first step a box raises rules it out. The board reads the rectangles'
+sides from a table built once per solve. A child is placed on the board
+and later taken off, never re-validated.
 Frozen packings and validated actions stay at the API boundary: the
 result packing is built once, from the board's boxes, each box's
 orientation read off its width.
@@ -75,13 +76,15 @@ class SolverConfig:
     rect_order: str = "area"
 
     def __post_init__(self):
+        if type(self.enhanced_pruning) is not bool:
+            raise ValueError(f"enhanced_pruning must be a bool, got {self.enhanced_pruning!r}")
         if self.rect_order not in RECT_ORDERS:
             raise ValueError(f"rect_order must be one of {RECT_ORDERS}, got {self.rect_order!r}")
         n, t = self.node_limit, self.time_limit
         if n is not None and not (type(n) is int and n >= 1):
             raise ValueError(f"node_limit must be a positive integer, got {n!r}")
-        if t is not None and (isinstance(t, bool) or not t > 0):  # rejects NaN too
-            raise ValueError(f"time_limit must be positive, got {t!r}")
+        if t is not None and (isinstance(t, bool) or not isinstance(t, (int, float)) or not t > 0):
+            raise ValueError(f"time_limit must be a positive number, got {t!r}")
 
 
 @dataclass(frozen=True)

@@ -281,7 +281,7 @@ def test_board_place_and_unplace_are_inverses_and_match_enumeration():
                 i = order[step]
                 nodes = [list(node) for node in board.nodes]
                 saved.append((list(board.boxes), list(board.path), nodes))
-                board.place(i, p.placed_rect(i).box)
+                board.place(i, p.placed_rect(i).box, None)
                 current = current.with_placement(i, p.placements[i])
             for _ in order:
                 board.unplace()
@@ -329,12 +329,13 @@ def test_board_descend_walks_the_whole_tree_depth_first():
     # in both modes. Each call enters the next move of the deepest node
     # with moves left, as listed by moves() when that node was entered;
     # after it the board's path, boxes and node records agree (every node
-    # but the new one expanded; in plain mode its grid the placed boxes',
-    # None when full; in enhanced mode its staircase the columns of the
-    # placed and dead cells, whose dead area stays within the slack, and
-    # its budget the slack less the dead cells, counted cell by cell; None
-    # in plain mode), and it returns False exactly when no node has moves
-    # left, with the board back at the empty root.
+    # but the new one expanded; its budget the one its move carried; in
+    # plain mode its grid the placed boxes', None when full; in enhanced
+    # mode its staircase the columns of the placed and dead cells, whose
+    # dead area stays within the slack, and its budget the slack less the
+    # dead cells, counted cell by cell; None in plain mode), and it returns
+    # False exactly when no node has moves left, with the board back at the
+    # empty root.
     rng = random.Random(6061)
     entered = 0
     for _ in range(60):
@@ -351,9 +352,10 @@ def test_board_descend_walks_the_whole_tree_depth_first():
                     pending.pop()
                 if not board.descend():
                     break
-                i, box = pending[-1].pop(0)
+                i, box, budget = pending[-1].pop(0)
                 entered += 1
                 assert board.path[-1] == i and len(board.path) == len(pending)
+                assert board.nodes[-1][2] == budget
                 placed = {j: board.boxes[j] for j in board.path}
                 assert placed[i] == box and sum(b is not None for b in board.boxes) == len(placed)
                 assert [node[1] is None for node in board.nodes] == [False] * len(pending) + [True]
@@ -379,10 +381,12 @@ def test_staircase_corners_are_the_undominated_scan_corners_within_the_budget():
     # corners of the next rectangle are the plain scan's corners of the
     # placed boxes that no placed box is over or right of
     # (solver._dominated, the reference definition) and whose kill, the
-    # dead cells the box adds counted cell by cell, is within the budget.
-    # A box is kept at a budget of exactly its kill and dropped one below,
-    # so the kill is that count. The board's moves use its slack less the
-    # dead cells of its boxes as the budget.
+    # dead cells the box adds counted cell by cell, is within the budget,
+    # each paired with the budget less its kill. A box is kept at a budget
+    # of exactly its kill, with 0 left, and dropped one below, so the kill
+    # is that count. The board's moves use its slack less the dead cells of
+    # its boxes as the budget and carry that budget less each box's kill,
+    # and the walk places each box with that budget less its kill.
     rng = random.Random(5150)
     kept = dominated = over = killed = turned = backed = 0
     for _ in range(300):
@@ -403,24 +407,27 @@ def test_staircase_corners_are_the_undominated_scan_corners_within_the_budget():
                 if not _dominated(board.boxes, box)
             }
             budget = rng.choice([0, 0, rng.randint(1, 8)])
-            children = [box for box, kill in kills.items() if kill <= budget]
+            children = [(box, budget - kill) for box, kill in kills.items() if kill <= budget]
             assert board._stair_corners(stair, _orientations(shape), budget) == children
-            assert [box for j, box in board.moves() if j == i] == [
-                box for box, kill in kills.items() if kill <= slack - dead
+            left = slack - dead
+            assert [move for move in board.moves() if move[0] == i] == [
+                (i, box, left - kill) for box, kill in kills.items() if kill <= left
             ]
             for box, kill in kills.items():
-                assert box in board._stair_corners(stair, _orientations(shape), kill)
-                assert box not in board._stair_corners(stair, _orientations(shape), kill - 1)
+                assert (box, 0) in board._stair_corners(stair, _orientations(shape), kill)
+                below = board._stair_corners(stair, _orientations(shape), kill - 1)
+                assert box not in [b for b, _ in below]
             kept += len(children)
             dominated += len(scanned) - len(kills)
             over += len(kills) - len(children)
             killed += sum(kill > 0 for kill in kills.values())
-            turned += sum(box[2] - box[0] != shape.width for box in children)
+            turned += sum(box[2] - box[0] != shape.width for box, _ in children)
             if board.path and rng.random() < 0.2:
                 board.unplace()
                 backed += 1
             elif children:
-                board.place(i, rng.choice(children))
+                box, _ = rng.choice(children)
+                board.place(i, box, left - kills[box])
             else:
                 break
     assert min(kept, dominated, over, killed, turned, backed) > 0

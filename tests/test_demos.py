@@ -2,6 +2,7 @@
 
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_demos_run_and_tell_their_story():
-    # Demo 05 writes its SVGs beside itself, so it is left out.
+    # Demo 05 writes its SVGs beside itself, so the next test runs a copy.
     demos = sorted((ROOT / "demos").glob("0[1-4]_*.py"))
     assert [d.name[:2] for d in demos] == ["01", "02", "03", "04"]
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
@@ -27,3 +28,19 @@ def test_demos_run_and_tell_their_story():
     assert enhanced > plain
     # Demo 04: no box of the 3D configuration escapes.
     assert "escaping box: None" in out["04"].splitlines()
+
+
+def test_render_gallery_demo_writes_four_svgs(tmp_path):
+    # Run a copy of demo 05 in a scratch directory, so its gallery is
+    # written there and not into the source tree.
+    demo = Path(shutil.copy(ROOT / "demos" / "05_render_gallery.py", tmp_path))
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=300, cwd=tmp_path
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 4 and all(line.startswith("wrote gallery/") for line in lines)
+    files = sorted((tmp_path / "gallery").iterdir())
+    assert [f"wrote gallery/{f.name}" for f in files] == sorted(lines)
+    assert all(f.read_text(encoding="utf-8").startswith("<svg") for f in files)

@@ -60,9 +60,12 @@ def test_config_validation():
             SolverConfig(node_limit=bad)
     with pytest.raises(ValueError):
         SolverConfig(time_limit=0.0)
-    for bad in (float("nan"), -1.0, float("-inf"), True, False):
+    for bad in (float("nan"), -1.0, float("-inf"), True, False, "5", b"5", [5]):
         with pytest.raises(ValueError):
             SolverConfig(time_limit=bad)
+    for bad in ("no", "", 0, 1, None, 1.0):
+        with pytest.raises(ValueError):
+            SolverConfig(enhanced_pruning=bad)
 
 
 def test_quick_reject_area():
