@@ -16,7 +16,7 @@ A build order names each action's supports from two indices of the
 boxes placed so far, by right and by top edge, and
 :meth:`PlacementOrder.replay` checks each action against one box map
 that it keeps across its steps, so neither derives a packing's boxes
-once per rectangle.
+once per rectangle. Naming the supports is also the stability check.
 """
 
 from __future__ import annotations
@@ -27,11 +27,12 @@ from typing import Iterator
 
 from .corners import BOTTOM_BORDER, LEFT_BORDER, Corner, CornerAction, _action_box
 from .geometry import Box, Packing, Placement, box_over, box_right_of, box_touches, is_feasible
+from .stability import InfeasiblePackingError
 # Unused here: the benchmark's tracer patches these names on this module
 # until its patch points become optional (ROADMAP item 1).
 from .corners import _supports, apply_action  # noqa: F401
 from .geometry import free_directions  # noqa: F401
-from .stability import InfeasiblePackingError, is_bottom_left_stable
+from .stability import is_bottom_left_stable  # noqa: F401
 
 
 class NotBottomLeftStableError(ValueError):
@@ -185,14 +186,16 @@ def placement_order(p: Packing) -> PlacementOrder:
     """Derive a corner-realizable build order for a stable packing.
 
     The reverse of the extraction order works: whatever was extracted
-    later gets placed earlier, and its supports are always among the
-    rectangles placed before it. The packing's boxes are derived once.
+    later gets placed earlier. The packing's boxes are derived once.
     Each action names its supports from two indices of the boxes placed
     so far, by right and by top edge: on each side, the lowest index
     whose box touches it, else the border. The feasibility check keeps
     every box inside the container and off the others, so a box with
-    both sides blocked is on a corner; that no box is over or right of a
-    later-placed one is the extraction order's audit.
+    both sides blocked is on a corner. The extraction order's audit puts
+    each box before any box over or right of it, so every box touching a
+    side is placed earlier: the lowest earlier index is the lowest of
+    all, and a side off the border that none touches can slide (the
+    stability check).
 
     Raises InfeasiblePackingError on infeasible input and
     NotBottomLeftStableError when some rectangle could still slide down
@@ -200,10 +203,6 @@ def placement_order(p: Packing) -> PlacementOrder:
     """
     if not is_feasible(p):
         raise InfeasiblePackingError("cannot order an infeasible packing")
-    if not is_bottom_left_stable(p):
-        raise NotBottomLeftStableError(
-            "packing is not bottom-left stable; compact() it before ordering"
-        )
     boxes = p.boxes()
     order = tuple(reversed([chain[-1] for chain in _escapes(boxes)]))
     rights: dict[int, list[int]] = defaultdict(list)
@@ -214,8 +213,8 @@ def placement_order(p: Packing) -> PlacementOrder:
         left = min((j for j in rights[x] if box_touches(boxes[j], box, True)), default=LEFT_BORDER)
         bottom = min((j for j in tops[y] if box_touches(boxes[j], box, False)), default=BOTTOM_BORDER)
         if (x and left is LEFT_BORDER) or (y and bottom is BOTTOM_BORDER):
-            raise RuntimeError(
-                f"internal contradiction: rectangle {i} is not corner-placeable in order"
+            raise NotBottomLeftStableError(
+                "packing is not bottom-left stable; compact() it before ordering"
             )
         rights[x2].append(i)
         tops[y2].append(i)

@@ -124,6 +124,20 @@ def test_internal_error_exits_four_not_infeasible(workdir, monkeypatch, capsys):
     assert err.splitlines() == ["internal error: RuntimeError: boom"]
 
 
+def test_uncertified_result_exits_four(workdir, monkeypatch, capsys):
+    import cornerpack.cli as cli
+
+    monkeypatch.setattr(cli, "certify", lambda instance, result: False)
+    _, write = workdir
+    code = main(["solve", write("inst.json", FEASIBLE_INSTANCE)])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_INTERNAL_ERROR == 4
+    assert out == ""
+    assert err.splitlines() == [
+        "internal error: RuntimeError: solver emitted a result that fails certification"
+    ]
+
+
 def test_usage_errors_exit_three_not_two(capsys):
     assert main(["no-such-command"]) == 3
     assert main(["gen", "--container", "nonsense", "--count", "1"]) == 3

@@ -130,6 +130,10 @@ def test_apply_action_rejects_out_of_range_support_index():
     for bad in (-3, -1, 3, 10):
         with pytest.raises(StaleCornerError):
             apply_action(p, CornerAction(2, Corner(2, 0, False, bad, BOTTOM_BORDER)))
+    # So must the rectangle index: -1 must not wrap around to rect 2.
+    for bad in (-1, 3):
+        with pytest.raises(StaleCornerError, match=f"rectangle index {bad} out of range"):
+            apply_action(p, CornerAction(bad, Corner(2, 0, False, 0, BOTTOM_BORDER)))
 
 
 def test_apply_action_agrees_with_oracle_corners():

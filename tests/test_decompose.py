@@ -25,10 +25,11 @@ from cornerpack import (
     extraction_order,
     find_escaper,
     free_directions,
+    is_bottom_left_stable,
     placement_order,
 )
 from cornerpack.decompose import _escapes
-from cornerpack.geometry import box_over
+from cornerpack.geometry import box_over, box_touches
 
 
 # --- find_escaper ---
@@ -208,6 +209,43 @@ def test_placement_order_requires_stability():
     p = make_packing(6, 6, (2, 2, 3, 3))
     with pytest.raises(NotBottomLeftStableError):
         placement_order(p)
+
+
+def test_placement_order_names_the_lowest_touching_box_and_checks_stability():
+    # The naming loop is the stability check: it raises exactly when some
+    # placed box can slide, and otherwise names on each side the lowest
+    # index among all placed boxes touching it, placed before the box.
+    rng = random.Random(2604)
+
+    def partly(p):
+        if rng.random() < 0.5:
+            return p
+        keep = set(rng.sample(range(p.instance.n), rng.randint(0, p.instance.n)))
+        return Packing(p.instance, tuple(pl if i in keep else None for i, pl in enumerate(p.placements)))
+
+    unstable = named = 0
+    for _ in range(300):
+        loose = random_loose_packing(rng, max_side=12, max_n=9)
+        for p in map(partly, (loose, compact(loose)[0], random_complete_packing(rng, max_side=12, max_n=9))):
+            if not is_bottom_left_stable(p):
+                unstable += 1
+                with pytest.raises(NotBottomLeftStableError, match=r"compact\(\) it before ordering"):
+                    placement_order(p)
+                continue
+            po = placement_order(p)
+            boxes = p.boxes()
+            for k, (i, action) in enumerate(zip(po.order, po.actions)):
+                corner = action.corner
+                for support, border, left in (
+                    (corner.left_support, LEFT_BORDER, True),
+                    (corner.bottom_support, BOTTOM_BORDER, False),
+                ):
+                    touching = (j for j in boxes if box_touches(boxes[j], boxes[i], left))
+                    assert support == min(touching, default=border)
+                    if support is not border:
+                        named += 1
+                        assert support in po.order[:k]
+    assert unstable > 100 and named > 1000
 
 
 def test_placement_order_requires_feasibility():

@@ -96,6 +96,12 @@ def test_parse_instance_rejects_non_object_shapes():
         parse_instance("[1, 2]")
     with pytest.raises(FileFormatError, match="rectangles: expected an array"):
         parse_instance('{"container": {"width": 4, "height": 3}, "rectangles": {}}')
+    instance = parse_instance(INSTANCE_TEXT)
+    for text in ("[]", "1"):
+        with pytest.raises(FileFormatError, match="document: expected an object"):
+            parse_solution(text, instance)
+    with pytest.raises(FileFormatError, match="placements: expected an array"):
+        parse_solution('{"feasible": true, "placements": {}}', instance)
 
 
 def test_booleans_are_not_integers():

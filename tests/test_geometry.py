@@ -362,6 +362,17 @@ def test_out_of_range_index_raises_index_error(call, i):
         call(i, p)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [lambda i, p: p.placed_rect(i), lambda i, p: max_down_slide(i, p)],
+    ids=["placed_rect", "max_down_slide"],
+)
+def test_unplaced_rectangle_raises_value_error(call):
+    p = make_packing(4, 4, (1, 1, 0, 0), (1, 1, None, None))
+    with pytest.raises(ValueError, match="rectangle 1 is not placed"):
+        call(1, p)
+
+
 # --- l_value ---
 
 

@@ -68,6 +68,21 @@ def test_config_validation():
             SolverConfig(enhanced_pruning=bad)
 
 
+def test_stats_and_result_validation():
+    for stats in ((-1, 0, 0.0), (0, -1, 0.0), (0, 0, -0.5)):
+        with pytest.raises(ValueError, match="cannot be negative"):
+            SolveStats(*stats)
+    instance = inst(2, 1, (1, 1), (1, 1))
+    packing = Packing(instance, (Placement(0, 0), Placement(1, 0)))
+    stats = SolveStats(2, 2, 0.0)
+    for status in (SolveStatus.INFEASIBLE, SolveStatus.UNKNOWN):
+        with pytest.raises(ValueError, match="exactly on FEASIBLE"):
+            SolveResult(status, packing, stats)
+        assert SolveResult(status, None, stats).packing is None
+    with pytest.raises(ValueError, match="exactly on FEASIBLE"):
+        SolveResult(SolveStatus.FEASIBLE, None, stats)
+
+
 def test_quick_reject_area():
     reason = quick_reject(inst(4, 4, (4, 4), (1, 1)))
     assert reason is not None and "area" in reason

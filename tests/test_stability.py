@@ -167,6 +167,8 @@ def test_compaction_trace_validates_accounting():
         CompactionTrace(((0, "down", 2),), initial_l=5, final_l=4)
     with pytest.raises(ValueError):
         CompactionTrace((), initial_l=3, final_l=-1)
+    with pytest.raises(ValueError, match="coordinate sum cannot be negative"):
+        CompactionTrace((), -1, -1)
     # Each step is a compaction move: down or left by a positive distance,
     # even when the distances still account for the coordinate-sum change.
     for step, l_values in (((0, "down", 0), (4, 4)), ((0, "down", -2), (2, 4))):
