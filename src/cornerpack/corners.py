@@ -30,7 +30,7 @@ from enum import Enum
 from operator import itemgetter
 from typing import Iterator
 
-from .geometry import Box, Container, Instance, Packing, Placement, RectDims
+from .geometry import Box, Container, Instance, Packing, Placement, RectDims, _box
 from .geometry import box_touches, boxes_overlap
 
 
@@ -239,10 +239,8 @@ def _action_box(boxes: dict[int, Box], instance: Instance, a: CornerAction) -> B
     if i in boxes:
         raise StaleCornerError(f"rectangle {i} is already placed")
     corner = a.corner
-    shape = instance.rects[i]
-    ew, eh = (shape.height, shape.width) if corner.rotated else (shape.width, shape.height)
     x, y = corner.x, corner.y
-    target = (x, y, x + ew, y + eh)
+    target = _box(instance.rects[i], corner)
     _supports(boxes, instance.container, target)
     for side, support, border, at_zero in (
         ("left", corner.left_support, LEFT_BORDER, x == 0),

@@ -175,9 +175,9 @@ class PlacementOrder:
         boxes: dict[int, Box] = {}
         states = [Packing(instance, tuple(placements))]
         for action in self.actions:
-            i, corner = action.rect_index, action.corner
+            i = action.rect_index
             boxes[i] = _action_box(boxes, instance, action)
-            placements[i] = Placement(corner.x, corner.y, corner.rotated)
+            placements[i] = self.packing.placements[i]
             states.append(Packing(instance, tuple(placements)))
         return states
 

@@ -3,9 +3,9 @@
 Instance files describe a container and rectangle list; solution files
 carry a feasibility flag and, when feasible, one placement per rectangle
 with 1-based indices. Parsing is strict: unknown fields, wrong types and
-out-of-range values are rejected with the offending field named; each
-entry is checked by plain comparisons, and a field path is formatted only
-for the error. Emission is canonical (two-space indent, placements sorted
+out-of-range values are rejected with the offending field named. Each
+field is checked once, by plain comparisons, and its path is formatted
+only for an error. Emission is canonical (two-space indent, placements sorted
 by index, trailing newline) so emit and parse round-trip byte-identically.
 It is written as text, the exact bytes of ``json.dumps(doc, indent=2)``
 and a newline: every value is an integer or a boolean.
@@ -22,31 +22,43 @@ class FileFormatError(ValueError):
     """A document failed strict parsing; the message names the field."""
 
 
-def _object(value, path: str, keys: tuple[str, ...]) -> dict:
-    if not isinstance(value, dict):
+# Each object's fields, in the order a missing one is named. Each check below
+# takes its field's path as a template, filled with ``k``, the entry's array
+# index (None outside an array), only to report an error.
+_DOCUMENT = dict.fromkeys(("container", "rectangles")).keys()
+_SIDES = dict.fromkeys(("width", "height")).keys()
+_VERDICT = dict.fromkeys(("feasible",)).keys()
+_SOLUTION = dict.fromkeys(("feasible", "placements")).keys()
+_PLACEMENT = dict.fromkeys(("index", "x", "y", "rotated")).keys()
+
+
+def _object(value, keys, path: str, k: int | None) -> dict:
+    if type(value) is dict and value.keys() == keys:
+        return value
+    path = path.format(k)
+    if type(value) is not dict:
         raise FileFormatError(f"{path}: expected an object")
-    unknown = set(value) - set(keys)
+    unknown = value.keys() - keys
     if unknown:
-        raise FileFormatError(f"{path}: unknown field {sorted(unknown)[0]!r}")
-    missing = [k for k in keys if k not in value]
-    if missing:
-        raise FileFormatError(f"{path}: missing field {missing[0]!r}")
-    return value
+        raise FileFormatError(f"{path}: unknown field {min(unknown)!r}")
+    missing = next(name for name in keys if name not in value)
+    raise FileFormatError(f"{path}: missing field {missing!r}")
 
 
-def _int(value, path: str, minimum: int) -> int:
+def _int(value, minimum: int, path: str, k: int | None) -> int:
     # bool is an int subclass; a bare true/false is still a type error here.
-    if not isinstance(value, int) or isinstance(value, bool):
+    if type(value) is int and value >= minimum:
+        return value
+    path = path.format(k)
+    if type(value) is not int:
         raise FileFormatError(f"{path}: expected an integer")
-    if value < minimum:
-        raise FileFormatError(f"{path}: must be at least {minimum}, got {value}")
-    return value
+    raise FileFormatError(f"{path}: must be at least {minimum}, got {value}")
 
 
-def _bool(value, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise FileFormatError(f"{path}: expected true or false")
-    return value
+def _bool(value, path: str, k: int | None) -> bool:
+    if type(value) is bool:
+        return value
+    raise FileFormatError(f"{path.format(k)}: expected true or false")
 
 
 def _load(text: str) -> object:
@@ -61,26 +73,17 @@ def _load(text: str) -> object:
 
 
 def parse_instance(text: str) -> Instance:
-    doc = _object(_load(text), "document", ("container", "rectangles"))
-    cont = _object(doc["container"], "container", ("width", "height"))
-    container = Container(
-        _int(cont["width"], "container.width", 1),
-        _int(cont["height"], "container.height", 1),
-    )
-    if not isinstance(doc["rectangles"], list):
+    doc = _object(_load(text), _DOCUMENT, "document", None)
+    cont = _object(doc["container"], _SIDES, "container", None)
+    width = _int(cont["width"], 1, "container.width", None)
+    container = Container(width, _int(cont["height"], 1, "container.height", None))
+    if type(doc["rectangles"]) is not list:
         raise FileFormatError("rectangles: expected an array")
     rects = []
     for k, entry in enumerate(doc["rectangles"]):
-        if type(entry) is dict and len(entry) == 2:
-            w, h = entry.get("width"), entry.get("height")
-            if type(w) is int and w >= 1 and type(h) is int and h >= 1:
-                rects.append(RectDims(w, h))
-                continue
-        path = f"rectangles[{k}]"
-        obj = _object(entry, path, ("width", "height"))
-        rects.append(
-            RectDims(_int(obj["width"], f"{path}.width", 1), _int(obj["height"], f"{path}.height", 1))
-        )
+        obj = _object(entry, _SIDES, "rectangles[{}]", k)
+        width = _int(obj["width"], 1, "rectangles[{}].width", k)
+        rects.append(RectDims(width, _int(obj["height"], 1, "rectangles[{}].height", k)))
     return Instance(container, tuple(rects))
 
 
@@ -110,41 +113,31 @@ def parse_solution(text: str, instance: Instance) -> Packing | None:
     overlapping or protruding solution.
     """
     raw = _load(text)
-    if not isinstance(raw, dict):
-        raise FileFormatError("document: expected an object")
-    if "placements" in raw:
-        doc = _object(raw, "document", ("feasible", "placements"))
-    else:
-        doc = _object(raw, "document", ("feasible",))
-    feasible = _bool(doc["feasible"], "feasible")
-    if not feasible:
-        if "placements" in doc:
+    placed = type(raw) is dict and "placements" in raw
+    doc = _object(raw, _SOLUTION if placed else _VERDICT, "document", None)
+    if not _bool(doc["feasible"], "feasible", None):
+        if placed:
             raise FileFormatError("placements: must be omitted when feasible is false")
         return None
-    if "placements" not in doc:
-        raise FileFormatError("document: missing field 'placements'")
-    if not isinstance(doc["placements"], list):
+    # Only an infeasible document may leave its placements out.
+    entries = _object(doc, _SOLUTION, "document", None)["placements"]
+    if type(entries) is not list:
         raise FileFormatError("placements: expected an array")
     n = instance.n
     placements: list[Placement | None] = [None] * n
-    for k, entry in enumerate(doc["placements"]):
-        if type(entry) is dict and len(entry) == 4:
-            index, x, y, rotated = map(entry.get, ("index", "x", "y", "rotated"))
-            fresh = type(index) is int and 1 <= index <= n and placements[index - 1] is None
-            if fresh and type(x) is int and x >= 0 and type(y) is int and y >= 0 and type(rotated) is bool:
-                placements[index - 1] = Placement(x, y, rotated)
-                continue
-        path = f"placements[{k}]"
-        obj = _object(entry, path, ("index", "x", "y", "rotated"))
-        index = _int(obj["index"], f"{path}.index", 1)
+    for k, entry in enumerate(entries):
+        obj = _object(entry, _PLACEMENT, "placements[{}]", k)
+        index = _int(obj["index"], 1, "placements[{}].index", k)
         if index > n:
-            raise FileFormatError(f"{path}.index: instance has {n} rectangles, got index {index}")
+            raise FileFormatError(
+                f"placements[{k}].index: instance has {n} rectangles, got index {index}"
+            )
         if placements[index - 1] is not None:
-            raise FileFormatError(f"{path}.index: duplicate index {index}")
+            raise FileFormatError(f"placements[{k}].index: duplicate index {index}")
         placements[index - 1] = Placement(
-            _int(obj["x"], f"{path}.x", 0),
-            _int(obj["y"], f"{path}.y", 0),
-            _bool(obj["rotated"], f"{path}.rotated"),
+            _int(obj["x"], 0, "placements[{}].x", k),
+            _int(obj["y"], 0, "placements[{}].y", k),
+            _bool(obj["rotated"], "placements[{}].rotated", k),
         )
     return Packing(instance, placements)
 

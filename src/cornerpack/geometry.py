@@ -88,7 +88,7 @@ Box = tuple[int, int, int, int]
 
 
 def _box(dims: RectDims, pl: Placement) -> Box:
-    """The box ``dims`` covers at ``pl``; a rotated rectangle swaps its sides."""
+    """The box ``dims`` covers at a placement or corner ``pl``; rotation swaps its sides."""
     if pl.rotated:
         return (pl.x, pl.y, pl.x + dims.height, pl.y + dims.width)
     return (pl.x, pl.y, pl.x + dims.width, pl.y + dims.height)

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -136,6 +140,40 @@ def test_uncertified_result_exits_four(workdir, monkeypatch, capsys):
     assert err.splitlines() == [
         "internal error: RuntimeError: solver emitted a result that fails certification"
     ]
+
+
+def test_failed_replay_exits_four(workdir, monkeypatch, capsys):
+    import cornerpack.cli as cli
+    from cornerpack.decompose import PlacementOrder
+
+    replay = PlacementOrder.replay
+
+    def replay_to_the_empty_packing(order):
+        states = replay(order)
+        return states[:-1] + states[:1]
+
+    monkeypatch.setattr(PlacementOrder, "replay", replay_to_the_empty_packing)
+    _, write = workdir
+    packing = make_packing(4, 4, (2, 4, 0, 0), (2, 4, 2, 0))
+    inst_path = write("inst.json", emit_instance(packing.instance))
+    code = main(["decompose", inst_path, write("sol.json", emit_solution(packing))])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_INTERNAL_ERROR == 4
+    assert out == ""
+    assert err.splitlines() == [
+        "internal error: RuntimeError: replay failed to reproduce the packing it was derived from"
+    ]
+
+
+@pytest.mark.parametrize("module", ["cornerpack", "cornerpack.cli"])
+def test_python_dash_m_runs_the_cli(module):
+    # ``-m cornerpack`` runs __main__.py, ``-m cornerpack.cli`` the module's own guard.
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    done = subprocess.run(
+        [sys.executable, "-m", module, "check3d"], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "no escaper exists: true"
 
 
 def test_usage_errors_exit_three_not_two(capsys):

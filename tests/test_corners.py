@@ -26,7 +26,7 @@ from cornerpack import (
 )
 from cornerpack.corners import _Board, _grid, _orientations, _positions, _supports
 from cornerpack.geometry import box_touches
-from cornerpack.solver import _dominated
+from cornerpack.solver import _dominated, quick_reject
 
 
 def test_empty_container_offers_origin_in_both_orientations():
@@ -504,3 +504,40 @@ def test_corner_cost_does_not_grow_with_the_container():
     corner = enumerate_corners(whole, RectDims(10**6, 10**6))[0]
     full = apply_action(whole, CornerAction(0, corner))
     assert full.is_complete and enumerate_corners(full, RectDims(1, 1)) == []
+
+
+def _subtree_size(board):
+    """The nodes under and including the board's current node."""
+    size = 1
+    for i, box, budget in list(board.moves()):
+        board.place(i, box, budget)
+        size += _subtree_size(board)
+        board.unplace()
+    return size
+
+
+def test_mirrored_root_boxes_in_a_square_container_have_subtrees_of_one_size():
+    # In a W x W container the corner rule and the dead-cell rule are both
+    # symmetric under (x, y) -> (y, x), so the subtree under a non-square
+    # class-first box at the origin mirrors the one under it rotated.
+    rng = random.Random(11)
+    pairs = 0
+    for _ in range(300):
+        w = rng.randint(3, 6)
+        rects = tuple(RectDims(rng.randint(1, 4), rng.randint(1, 4)) for _ in range(rng.randint(2, 5)))
+        instance = Instance(Container(w, w), rects)
+        if quick_reject(instance) is not None:
+            continue
+        for slack in (None, w * w - instance.total_rect_area):
+            board = _Board(instance, list(range(instance.n)), slack)
+            sizes = {}
+            for i, box, budget in list(board.moves()):
+                assert box[:2] == (0, 0)
+                if not rects[i].is_square:
+                    board.place(i, box, budget)
+                    sizes.setdefault(i, []).append(_subtree_size(board))
+                    board.unplace()
+            for i, (unrotated, rotated) in sizes.items():
+                assert unrotated == rotated, (instance, slack, i)
+                pairs += 1
+    assert pairs == 606

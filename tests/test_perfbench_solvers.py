@@ -98,3 +98,25 @@ def test_seed_0_tiling_and_nearmiss_slices_keep_their_search_trees():
                 sum(r.stats.max_depth for r in results),
             )
     assert sums == PINNED_TREES
+
+
+def test_exhausted_searches_expand_one_tree_under_every_order():
+    # moves() yields each shape class's next member by index, whatever the
+    # rectangle order, so the order only changes how an exhausted tree is
+    # walked: its verdict, node count and depth stay the same.
+    workloads = load_perfbench("workloads")
+    items = workloads.make_crosscheck(0)[:2000] + workloads.make_nearmiss(0)[::3]
+    exhausted = searched = 0
+    for k, item in enumerate(items):
+        for mode, enhanced in workloads.MODES:
+            results = [
+                solve(item.instance, workloads.solver_config(enhanced, item.budget, order))
+                for order in RECT_ORDERS
+            ]
+            if all(r.status is not SolveStatus.INFEASIBLE for r in results):
+                continue
+            trees = {(r.status, r.stats.nodes_expanded, r.stats.max_depth) for r in results}
+            assert len(trees) == 1, f"item {k}, {mode} mode: {trees}"
+            exhausted += 1
+            searched += results[0].stats.nodes_expanded > 0
+    assert exhausted == 2510 and searched > 0
