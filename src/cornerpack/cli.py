@@ -14,16 +14,16 @@ import random
 import re
 import sys
 
-from .decompose import placement_order
+from .decompose import NotBottomLeftStableError, placement_order
 from .files import FileFormatError, emit_instance, emit_solution, parse_instance, parse_solution
 from .corners import supporting_rects
 from .generate import corner_walk_packing, guillotine_layout
-from .geometry import Container, Packing, is_feasible
+from .geometry import Container, Packing
 from .oracle import OracleCapacityError, OracleLimits, oracle_feasible
 from .render import render_svg
 from .solver import RECT_ORDERS, SolveStatus, SolverConfig, certify, solve
 from .space3d import POS_X, POS_Y, POS_Z, blocked_directions3, find_escaper3, is_feasible3, table1_packing
-from .stability import compact, is_bottom_left_stable
+from .stability import compact
 
 EXIT_FEASIBLE = 0
 EXIT_INFEASIBLE = 1
@@ -108,21 +108,22 @@ def cmd_compact(args) -> int:
 def cmd_decompose(args) -> int:
     packing = _load_packing(args.instance, args.solution)
     # An infeasible packing is left to placement_order, which rejects it.
-    if is_feasible(packing) and not is_bottom_left_stable(packing):
+    try:
+        order = placement_order(packing)
+    except NotBottomLeftStableError:
         print("input is not bottom-left stable; compacting it first", file=sys.stderr)
         packing, _trace = compact(packing)
-    order = placement_order(packing)
+        order = placement_order(packing)
     states = order.replay()
     if states[-1] != packing:
         raise RuntimeError("replay failed to reproduce the packing it was derived from")
     print("order:", " ".join(str(i + 1) for i in order.order))
-    for step, i in enumerate(order.order, start=1):
-        after = states[step]
-        r = after.placed_rect(i)
-        rot = " rotated" if after.placements[i].rotated else ""
-        sup = supporting_rects(after, i)
+    for step, action in enumerate(order.actions, start=1):
+        i, corner = action.rect_index, action.corner
+        rot = " rotated" if corner.rotated else ""
+        sup = supporting_rects(states[step], i)
         sup_text = ", ".join(str(j + 1) for j in sorted(sup)) if sup else "borders"
-        print(f"step {step}: rectangle {i + 1} -> ({r.x}, {r.y}){rot}, supports: {sup_text}")
+        print(f"step {step}: rectangle {i + 1} -> ({corner.x}, {corner.y}){rot}, supports: {sup_text}")
     return EXIT_FEASIBLE
 
 
@@ -167,10 +168,8 @@ def cmd_check3d(args) -> int:
     print(f"container: {c.width}x{c.depth}x{c.height}")
     print(f"feasible: {'true' if feasible else 'false'}")
     axis_order = (POS_X, POS_Y, POS_Z)
-    all_blocked = True
     for i, box in enumerate(p.boxes):
         blocked = blocked_directions3(i, p)
-        all_blocked = all_blocked and bool(blocked)
         names = ", ".join(d for d in axis_order if d in blocked)
         print(
             f"box {i + 1} at ({box.x}, {box.y}, {box.z}) "
@@ -179,8 +178,7 @@ def cmd_check3d(args) -> int:
         )
     escaper = find_escaper3(p)
     print(f"no escaper exists: {'true' if escaper is None else 'false'}")
-    verified = feasible and all_blocked and escaper is None
-    return EXIT_FEASIBLE if verified else EXIT_INFEASIBLE
+    return EXIT_FEASIBLE if feasible and escaper is None else EXIT_INFEASIBLE
 
 
 def build_parser() -> _Parser:

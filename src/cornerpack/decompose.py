@@ -138,27 +138,29 @@ def extraction_order(p: Packing) -> tuple[int, ...]:
 class PlacementOrder:
     """An order in which a packing is rebuilt by corner placements.
 
-    ``actions`` holds one corner-occupying action per placed rectangle;
-    action k places ``order[k]`` at its final coordinates and orientation,
-    checked at construction, onto a corner formed only by earlier entries
-    and the borders, checked by :meth:`replay`.
+    ``actions`` is the build order: one corner-occupying action per placed
+    rectangle, and :attr:`order` reads off the rectangles they place.
+    Each action places its rectangle at its final coordinates and
+    orientation, checked at construction, onto a corner formed only by
+    earlier actions and the borders, checked by :meth:`replay`.
     """
 
     packing: Packing
-    order: tuple[int, ...]
     actions: tuple[CornerAction, ...]
 
     def __post_init__(self):
         if sorted(self.order) != sorted(self.packing.placed_indices()):
             raise ValueError("order must be a permutation of the placed indices")
-        if len(self.actions) != len(self.order):
-            raise ValueError("exactly one action per ordered rectangle required")
-        for i, action in zip(self.order, self.actions):
-            if action.rect_index != i:
-                raise ValueError(f"action for rectangle {i} targets {action.rect_index}")
+        for action in self.actions:
+            i = action.rect_index
             pl = self.packing.placements[i]
             if action.corner.position != (pl.x, pl.y, pl.rotated):
                 raise ValueError(f"action for rectangle {i} does not rebuild its placement")
+
+    @property
+    def order(self) -> tuple[int, ...]:
+        """The rectangles in the order the actions place them."""
+        return tuple(a.rect_index for a in self.actions)
 
     def replay(self) -> list[Packing]:
         """Rebuild the packing step by step, validating every action.
@@ -204,11 +206,10 @@ def placement_order(p: Packing) -> PlacementOrder:
     if not is_feasible(p):
         raise InfeasiblePackingError("cannot order an infeasible packing")
     boxes = p.boxes()
-    order = tuple(reversed([chain[-1] for chain in _escapes(boxes)]))
     rights: dict[int, list[int]] = defaultdict(list)
     tops: dict[int, list[int]] = defaultdict(list)
     actions = []
-    for i in order:
+    for i in reversed([chain[-1] for chain in _escapes(boxes)]):
         box = x, y, x2, y2 = boxes[i]
         left = min((j for j in rights[x] if box_touches(boxes[j], box, True)), default=LEFT_BORDER)
         bottom = min((j for j in tops[y] if box_touches(boxes[j], box, False)), default=BOTTOM_BORDER)
@@ -219,4 +220,4 @@ def placement_order(p: Packing) -> PlacementOrder:
         rights[x2].append(i)
         tops[y2].append(i)
         actions.append(CornerAction(i, Corner(x, y, p.placements[i].rotated, left, bottom)))
-    return PlacementOrder(p, order, tuple(actions))
+    return PlacementOrder(p, tuple(actions))

@@ -97,22 +97,18 @@ def corner_walk_packing(container: Container, count: int, rng: random.Random) ->
     for step in range(count):
         budget = container.area - used - (count - step - 1)
         p = Packing(Instance(container, tuple(dims)), tuple(placements))
-        chosen = None
         for _attempt in range(10):
             shape = RectDims(
                 rng.randint(1, min(5, container.width)),
                 rng.randint(1, min(5, container.height)),
             )
-            if shape.area > budget:
-                continue
-            corners = enumerate_corners(p, shape)
+            corners = enumerate_corners(p, shape) if shape.area <= budget else []
             if corners:
-                chosen = (shape, rng.choice(corners))
                 break
-        if chosen is None:
+        else:
             shape = RectDims(1, 1)
-            chosen = (shape, rng.choice(enumerate_corners(p, shape)))
-        shape, corner = chosen
+            corners = enumerate_corners(p, shape)
+        corner = rng.choice(corners)
         dims.append(shape)
         placements.append(Placement(corner.x, corner.y, corner.rotated))
         used += shape.area

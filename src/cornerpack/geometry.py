@@ -96,7 +96,7 @@ def _box(dims: RectDims, pl: Placement) -> Box:
 
 @dataclass(frozen=True)
 class PlacedRect:
-    """A rectangle bound to a placement; the unit all geometry operates on."""
+    """A rectangle bound to a placement; a view of its :attr:`box`, the unit geometry uses."""
 
     dims: RectDims
     placement: Placement

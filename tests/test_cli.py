@@ -242,6 +242,25 @@ def test_decompose_reports_order_and_supports(workdir, capsys):
     assert err == ""
 
 
+def test_decompose_prints_rotation_and_every_support(workdir, capsys):
+    # The third box lies rotated across both 2x1 boxes; the 2x2 is unplaced.
+    _, write = workdir
+    packing = make_packing(
+        4, 3, (2, 1, 0, 0), (2, 1, 2, 0), (1, 4, 0, 1, True), (2, 2, None, None)
+    )
+    inst_path = write("inst.json", emit_instance(packing.instance))
+    sol_path = write("sol.json", emit_solution(packing))
+    assert main(["decompose", inst_path, sol_path]) == 0
+    out, err = capsys.readouterr()
+    assert out == (
+        "order: 1 2 3\n"
+        "step 1: rectangle 1 -> (0, 0), supports: borders\n"
+        "step 2: rectangle 2 -> (2, 0), supports: 1\n"
+        "step 3: rectangle 3 -> (0, 1) rotated, supports: 1, 2\n"
+    )
+    assert err == ""
+
+
 def test_decompose_compacts_unstable_input_with_notice(workdir, capsys):
     _, write = workdir
     packing = make_packing(5, 5, (2, 2, 3, 3))

@@ -258,12 +258,10 @@ def test_placement_order_validation():
     p = make_packing(4, 4, (2, 2, 0, 0))
     good = placement_order(p)
     with pytest.raises(ValueError):
-        PlacementOrder(p, (0, 1), good.actions)
-    with pytest.raises(ValueError):
-        PlacementOrder(p, (0,), ())
+        PlacementOrder(p, ())
     bad_action = CornerAction(5, good.actions[0].corner)
     with pytest.raises(ValueError):
-        PlacementOrder(p, (0,), (bad_action,))
+        PlacementOrder(p, (bad_action,))
     # Each action must rebuild its rectangle's placement, or replay() ends
     # on another packing: a 2x1 rectangle turned, and a second 2x1 moved
     # off its place onto another corner beside the first.
@@ -271,14 +269,17 @@ def test_placement_order_validation():
     turned = replace(placement_order(p).actions[0].corner, rotated=True)
     assert apply_action(Packing.empty(p.instance), CornerAction(0, turned)) != p
     with pytest.raises(ValueError, match="does not rebuild its placement"):
-        PlacementOrder(p, (0,), (CornerAction(0, turned),))
+        PlacementOrder(p, (CornerAction(0, turned),))
     p = make_packing(4, 4, (2, 1, 0, 0), (2, 1, 0, 1))
     good = placement_order(p)
     assert good.order == (0, 1)
     moved = CornerAction(1, Corner(2, 0, False, 0, BOTTOM_BORDER))
     assert apply_action(good.replay()[1], moved) != p
     with pytest.raises(ValueError, match="does not rebuild its placement"):
-        PlacementOrder(p, good.order, (good.actions[0], moved))
+        PlacementOrder(p, (good.actions[0], moved))
+    a0 = good.actions[0]
+    with pytest.raises(ValueError, match="permutation of the placed indices"):
+        PlacementOrder(p, (a0, a0))
 
 
 def chained(po):
@@ -328,7 +329,7 @@ def test_replay_validates_each_action():
     p = make_packing(6, 4, (2, 2, 0, 0), (2, 2, 2, 0))
     po = placement_order(p)
     # Swapping the actions makes the second rectangle's support vanish.
-    swapped = PlacementOrder(p, tuple(reversed(po.order)), tuple(reversed(po.actions)))
+    swapped = PlacementOrder(p, tuple(reversed(po.actions)))
     with pytest.raises(StaleCornerError):
         swapped.replay()
 
@@ -338,7 +339,7 @@ def test_replay_rejects_what_apply_action_rejects():
     # the exception type and message a chain of apply_action calls raises.
     def order(p, *corners):
         actions = tuple(CornerAction(i, c) for i, c in enumerate(corners))
-        return PlacementOrder(p, tuple(range(len(corners))), actions)
+        return PlacementOrder(p, actions)
 
     origin = Corner(0, 0, False, LEFT_BORDER, BOTTOM_BORDER)
     beside = make_packing(6, 4, (2, 2, 0, 0), (2, 2, 2, 0))
