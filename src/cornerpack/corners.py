@@ -17,14 +17,15 @@ mode the placed and dead cells form a staircase, which each box climbs;
 the corners are its concave corners, where a box is never dominated, and
 each node carries its remaining dead-area budget. The scan alone sums a
 box's dead area off the steps, stopping once past the budget, and hands
-each corner on with the budget its child keeps. A single position, such
-as an action's, is checked by the definition in :func:`_supports`, from
-the boxes that overlap or touch it, which also names its supports.
+each corner on with the budget its child keeps. :func:`_supports` only
+names a corner's supports, and an action is checked against the supports
+it names (:func:`_action_box`).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
@@ -191,24 +192,15 @@ def _positions(grid: Grid, c: Container, dims: tuple[tuple[int, int], ...]) -> l
     return sorted(found + turned, key=itemgetter(1, 0))
 
 
-def _supports(boxes: dict[int, Box], c: Container, target: Box) -> tuple[Support, Support]:
-    """The left and bottom supports of a shape placed at ``target`` among ``boxes``:
-    on each side the lowest-indexed box touching it, whatever the map's order,
-    or the border where none does.
-
-    Raises StaleCornerError unless ``target`` is a corner: inside ``c``,
-    overlapping no box, and blocked leftward (x == 0 or a left support) and
-    downward (y == 0 or a bottom support).
-    """
-    x, y, x2, y2 = target
-    # Only boxes meeting the target grown by one cell left and down can overlap or touch it.
-    near = [(j, b) for j, b in boxes.items() if b[0] < x2 and b[2] >= x and b[1] < y2 and b[3] >= y]
-    left = min((j for j, b in near if box_touches(b, target, True)), default=LEFT_BORDER)
-    bottom = min((j for j, b in near if box_touches(b, target, False)), default=BOTTOM_BORDER)
-    inside = 0 <= x and 0 <= y and x2 <= c.width and y2 <= c.height
-    blocked = (x == 0 or left is not LEFT_BORDER) and (y == 0 or bottom is not BOTTOM_BORDER)
-    if not inside or not blocked or any(boxes_overlap(b, target) for _, b in near):
-        raise StaleCornerError(f"position ({x}, {y}) is not a corner")
+def _supports(
+    boxes: dict[int, Box], lefts: list[int], bottoms: list[int], target: Box
+) -> tuple[Support, Support]:
+    """The left and bottom supports of a shape at ``target``: on each side the
+    lowest index touching it, else the border. ``lefts`` (``bottoms``) holds
+    the indices in ``boxes`` whose right (top) edge is at ``target``'s left
+    (bottom), the only ones that can touch it. It makes no corner check."""
+    left = min((j for j in lefts if box_touches(boxes[j], target, True)), default=LEFT_BORDER)
+    bottom = min((j for j in bottoms if box_touches(boxes[j], target, False)), default=BOTTOM_BORDER)
     return left, bottom
 
 
@@ -216,12 +208,17 @@ def enumerate_corners(p: Packing, shape: RectDims) -> list[Corner]:
     """All bottom-left corners of the partial packing ``p`` for ``shape``.
 
     Sorted by (y, x, rotated), with duplicates impossible by construction.
+    The scan proves each corner; one index by right and top edge names its supports.
     """
     boxes = p.boxes()
     c = p.instance.container
+    rights, tops = defaultdict(list), defaultdict(list)
+    for j, (_, _, x2, y2) in boxes.items():
+        rights[x2].append(j)
+        tops[y2].append(j)
     grid = _grid(list(boxes.values()), c.width, c.height)
     return [
-        Corner(b[0], b[1], b[2] - b[0] != shape.width, *_supports(boxes, c, b))
+        Corner(b[0], b[1], b[2] - b[0] != shape.width, *_supports(boxes, rights[b[0]], tops[b[1]], b))
         for b in _positions(grid, c, _orientations(shape))
     ]
 
@@ -229,9 +226,9 @@ def enumerate_corners(p: Packing, shape: RectDims) -> list[Corner]:
 def _action_box(boxes: dict[int, Box], instance: Instance, a: CornerAction) -> Box:
     """The box action ``a`` fills among the placed ``boxes``, once checked.
 
-    Raises StaleCornerError unless ``a`` places an unplaced rectangle onto
-    a corner whose named supports are the border there or placed boxes
-    touching that side.
+    Raises StaleCornerError unless ``a`` places an unplaced rectangle inside
+    the container, off every placed box, and names on each side the border at
+    coordinate 0 or a placed box touching it, which blocks that side's slide.
     """
     i = a.rect_index
     if i < 0 or i >= instance.n:
@@ -239,9 +236,10 @@ def _action_box(boxes: dict[int, Box], instance: Instance, a: CornerAction) -> B
     if i in boxes:
         raise StaleCornerError(f"rectangle {i} is already placed")
     corner = a.corner
-    x, y = corner.x, corner.y
-    target = _box(instance.rects[i], corner)
-    _supports(boxes, instance.container, target)
+    x, y, x2, y2 = target = _box(instance.rects[i], corner)
+    inside = 0 <= x and 0 <= y and x2 <= instance.container.width and y2 <= instance.container.height
+    if not inside or any(boxes_overlap(b, target) for b in boxes.values()):
+        raise StaleCornerError(f"position ({x}, {y}) is not a corner")
     for side, support, border, at_zero in (
         ("left", corner.left_support, LEFT_BORDER, x == 0),
         ("bottom", corner.bottom_support, BOTTOM_BORDER, y == 0),

@@ -12,11 +12,11 @@ rectangle over the current one. When an escaper leaves, the walk audits
 it and climbs on from the rest of its chain. A step may still pass most
 of the list, so the worst case stays quadratic.
 
-A build order names each action's supports from two indices of the
-boxes placed so far, by right and by top edge, and
-:meth:`PlacementOrder.replay` checks each action against one box map
-that it keeps across its steps, so neither derives a packing's boxes
-once per rectangle. Naming the supports is also the stability check.
+A build order names each action's supports by the corner module's rule,
+from two indices of the boxes placed so far by right and by top edge,
+and :meth:`PlacementOrder.replay` checks each action against one box
+map kept across its steps, so neither derives a packing's boxes once
+per rectangle. Naming the supports is also the stability check.
 """
 
 from __future__ import annotations
@@ -25,12 +25,12 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterator
 
-from .corners import BOTTOM_BORDER, LEFT_BORDER, Corner, CornerAction, _action_box
-from .geometry import Box, Packing, Placement, box_over, box_right_of, box_touches, is_feasible
+from .corners import BOTTOM_BORDER, LEFT_BORDER, Corner, CornerAction, _action_box, _supports
+from .geometry import Box, Packing, Placement, box_over, box_right_of, is_feasible
 from .stability import InfeasiblePackingError
 # Unused here: the benchmark's tracer patches these names on this module
 # until its patch points become optional (ROADMAP item 1).
-from .corners import _supports, apply_action  # noqa: F401
+from .corners import apply_action  # noqa: F401
 from .geometry import free_directions  # noqa: F401
 from .stability import is_bottom_left_stable  # noqa: F401
 
@@ -189,15 +189,15 @@ def placement_order(p: Packing) -> PlacementOrder:
 
     The reverse of the extraction order works: whatever was extracted
     later gets placed earlier. The packing's boxes are derived once.
-    Each action names its supports from two indices of the boxes placed
-    so far, by right and by top edge: on each side, the lowest index
-    whose box touches it, else the border. The feasibility check keeps
-    every box inside the container and off the others, so a box with
-    both sides blocked is on a corner. The extraction order's audit puts
-    each box before any box over or right of it, so every box touching a
-    side is placed earlier: the lowest earlier index is the lowest of
-    all, and a side off the border that none touches can slide (the
-    stability check).
+    Each action names its supports with :func:`_supports`, from two
+    indices of the boxes placed so far, by right and by top edge: on each
+    side, the lowest index whose box touches it, else the border. The
+    feasibility check keeps every box inside the container and off the
+    others, so a box with both sides blocked is on a corner. The
+    extraction order's audit puts each box before any box over or right
+    of it, so every box touching a side is placed earlier: the lowest
+    earlier index is the lowest of all, and a side off the border that
+    none touches can slide (the stability check).
 
     Raises InfeasiblePackingError on infeasible input and
     NotBottomLeftStableError when some rectangle could still slide down
@@ -211,8 +211,7 @@ def placement_order(p: Packing) -> PlacementOrder:
     actions = []
     for i in reversed([chain[-1] for chain in _escapes(boxes)]):
         box = x, y, x2, y2 = boxes[i]
-        left = min((j for j in rights[x] if box_touches(boxes[j], box, True)), default=LEFT_BORDER)
-        bottom = min((j for j in tops[y] if box_touches(boxes[j], box, False)), default=BOTTOM_BORDER)
+        left, bottom = _supports(boxes, rights[x], tops[y], box)
         if (x and left is LEFT_BORDER) or (y and bottom is BOTTOM_BORDER):
             raise NotBottomLeftStableError(
                 "packing is not bottom-left stable; compact() it before ordering"

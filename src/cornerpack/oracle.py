@@ -5,8 +5,8 @@ integral position, with validity spelled out as direct arithmetic. The
 point is to have an independent answer to compare the real solver and the
 corner enumerator against, so this module deliberately shares no search
 logic with them. The feasibility search still considers every position,
-but a row skips the positions that one blocking box covers, so its work
-is bounded by rows and boxes rather than by cells.
+but a row or a run of rows skips the positions that one blocking box
+covers, so its work between two free boxes is bounded by the boxes alone.
 """
 
 from __future__ import annotations
@@ -50,23 +50,25 @@ def _free_boxes(
 ) -> Iterator[tuple[tuple[int, int, int, int], bool]]:
     """Each in-container box of a shape with orientations ``dims`` disjoint
     from ``placed``, and if it is rotated: unrotated before rotated, then by
-    (y, x). A box that meets ``other`` still meets it one cell further right,
-    up to ``other``'s right edge, so a row resumes there. Read lazily, so
+    (y, x). A box that meets ``other`` still meets it one cell right, up to
+    ``other``'s right edge, and one cell up, up to its top: so a row resumes
+    at that edge, and a row with no free box jumps to the lowest top it met,
+    or ends the scan if it met none (the shape is too wide). Read lazily, so
     ``placed`` must hold the same boxes whenever the generator resumes."""
     for ew, eh, rotated in dims:
-        if ew > width or eh > height:
-            continue
-        for y in range(height - eh + 1):
-            x = 0
+        y = 0
+        while y <= height - eh:
+            x, top = 0, height  # the next row: one up once a box is free
             while x <= width - ew:
                 box = (x, y, x + ew, y + eh)
                 for other in placed:
                     if not _disjoint(box, other):
-                        x = other[2]
+                        x, top = other[2], min(top, other[3])
                         break
                 else:
                     yield box, rotated
-                    x += 1
+                    x, top = x + 1, y + 1
+            y = top
 
 
 def oracle_feasible(instance: Instance, limits: OracleLimits | None = None) -> Packing | None:

@@ -24,7 +24,7 @@ from cornerpack import (
     oracle_corners,
     supporting_rects,
 )
-from cornerpack.corners import _Board, _grid, _orientations, _positions, _supports
+from cornerpack.corners import _Board, _grid, _orientations, _positions
 from cornerpack.geometry import box_touches
 from cornerpack.solver import _dominated, quick_reject
 
@@ -138,10 +138,10 @@ def test_apply_action_rejects_out_of_range_support_index():
 
 def test_apply_action_agrees_with_oracle_corners():
     # Positions the brute-force oracle does not list, out to one cell past
-    # every border, are rejected by the single-position check and by
-    # apply_action whatever supports are named; listed ones are accepted
-    # with the enumerated supports. Those name, on each side, the
-    # lowest-indexed box touching the corner, else the border.
+    # every border, are rejected by apply_action whatever supports are
+    # named; listed ones are accepted with the enumerated supports. Those
+    # name, on each side, the lowest-indexed box touching the corner, else
+    # the border.
     rng = random.Random(4242)
     for _ in range(200):
         p = random_partial_packing(rng, max_side=5, max_n=5)
@@ -165,14 +165,8 @@ def test_apply_action_agrees_with_oracle_corners():
                             bottoms = [j for j, b in boxes.items() if box_touches(b, box, False)]
                             assert corner.left_support == min(lefts, default=LEFT_BORDER)
                             assert corner.bottom_support == min(bottoms, default=BOTTOM_BORDER)
-                            assert _supports(boxes, c, box) == (
-                                corner.left_support,
-                                corner.bottom_support,
-                            )
                             apply_action(p, CornerAction(i, corner))
                             continue
-                        with pytest.raises(StaleCornerError):
-                            _supports(boxes, c, box)
                         for left in choices:
                             for bottom in choices:
                                 corner = Corner(x, y, rotated, left, bottom)

@@ -337,6 +337,8 @@ def test_replay_validates_each_action():
 def test_replay_rejects_what_apply_action_rejects():
     # Tampered orders, each stale at its last action: replay() must raise
     # the exception type and message a chain of apply_action calls raises.
+    # A box off the container or on a placed one is not a corner; a box that
+    # fits gets the message of the first named support that fails.
     def order(p, *corners):
         actions = tuple(CornerAction(i, c) for i, c in enumerate(corners))
         return PlacementOrder(p, actions)
@@ -346,22 +348,46 @@ def test_replay_rejects_what_apply_action_rejects():
     stacked = make_packing(6, 4, (2, 2, 0, 0), (2, 2, 0, 2), (2, 2, 2, 0))
     on_top = Corner(0, 2, False, LEFT_BORDER, 0)
     tampered = {
-        "support not yet placed": order(beside, origin, Corner(2, 0, False, 1, BOTTOM_BORDER)),
-        "support not touching": order(stacked, origin, on_top, Corner(2, 0, False, 1, BOTTOM_BORDER)),
-        "off a corner": order(
-            make_packing(6, 4, (2, 2, 0, 0), (2, 2, 4, 0)), origin, Corner(4, 0, False, 0, BOTTOM_BORDER)
+        "support not yet placed": (
+            order(beside, origin, Corner(2, 0, False, 1, BOTTOM_BORDER)),
+            "left support 1 is not a placed rectangle",
         ),
-        "left neighbour named below": order(beside, origin, Corner(2, 0, False, 0, 0)),
-        "overlapping packing": order(
-            make_packing(6, 4, (2, 2, 0, 0), (2, 2, 1, 0)), origin, Corner(1, 0, False, 0, BOTTOM_BORDER)
+        "support not touching": (
+            order(stacked, origin, on_top, Corner(2, 0, False, 1, BOTTOM_BORDER)),
+            "rectangle 1 no longer supports (2, 0)",
         ),
-        "protruding box": order(
-            make_packing(3, 4, (2, 2, 0, 0), (2, 2, 2, 0)), origin, Corner(2, 0, False, 0, BOTTOM_BORDER)
+        "off a corner": (
+            order(
+                make_packing(6, 4, (2, 2, 0, 0), (2, 2, 4, 0)), origin, Corner(4, 0, False, 0, BOTTOM_BORDER)
+            ),
+            "rectangle 0 no longer supports (4, 0)",
         ),
-        "border named off zero": order(beside, origin, Corner(2, 0, False, LEFT_BORDER, BOTTOM_BORDER)),
-        "wrong border": order(beside, origin, Corner(2, 0, False, 0, LEFT_BORDER)),
+        "left neighbour named below": (
+            order(beside, origin, Corner(2, 0, False, 0, 0)),
+            "rectangle 0 no longer supports (2, 0)",
+        ),
+        "overlapping packing": (
+            order(
+                make_packing(6, 4, (2, 2, 0, 0), (2, 2, 1, 0)), origin, Corner(1, 0, False, 0, BOTTOM_BORDER)
+            ),
+            "position (1, 0) is not a corner",
+        ),
+        "protruding box": (
+            order(
+                make_packing(3, 4, (2, 2, 0, 0), (2, 2, 2, 0)), origin, Corner(2, 0, False, 0, BOTTOM_BORDER)
+            ),
+            "position (2, 0) is not a corner",
+        ),
+        "border named off zero": (
+            order(beside, origin, Corner(2, 0, False, LEFT_BORDER, BOTTOM_BORDER)),
+            "left-border cannot support the left at (2, 0)",
+        ),
+        "wrong border": (
+            order(beside, origin, Corner(2, 0, False, 0, LEFT_BORDER)),
+            "left-border cannot support the bottom at (2, 0)",
+        ),
     }
-    for name, po in tampered.items():
+    for name, (po, message) in tampered.items():
         expected = chained(po)
-        assert expected[0] is StaleCornerError, name
+        assert expected == (StaleCornerError, message), name
         assert replayed(po) == expected, name

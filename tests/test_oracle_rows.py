@@ -1,4 +1,4 @@
-"""The brute-force oracle's row scan: same boxes, work bounded by rows."""
+"""The brute-force oracle's row scan: same boxes, work bounded by the boxes, not the rows."""
 
 import random
 
@@ -54,3 +54,23 @@ def test_oracle_budget_bounds_box_tests_by_rows(monkeypatch):
     with pytest.raises(OracleCapacityError):
         oracle_feasible(instance, OracleLimits(max_states=max_states))
     assert 0 < calls <= max_states * (height + 1) * n
+
+
+def test_oracle_budget_bounds_box_tests_by_boxes_not_rows(monkeypatch):
+    # A 4xH container holding a 4x(H-1) and a 2x2 rectangle: the 2x2 never
+    # fits, and each of its rows meets the tall one, so its scan jumps from
+    # the first row to the tall one's top. The box tests must not grow with H.
+    def box_tests(height):
+        calls = 0
+
+        def counted(a, b):
+            nonlocal calls
+            calls += 1
+            return _disjoint(a, b)
+
+        monkeypatch.setattr(oracle, "_disjoint", counted)
+        instance = Instance(Container(4, height), (RectDims(4, height - 1), RectDims(2, 2)))
+        assert oracle_feasible(instance, OracleLimits(max_states=10)) is None
+        return calls
+
+    assert 0 < box_tests(10**3) == box_tests(10**6)
