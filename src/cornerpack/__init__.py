@@ -50,9 +50,6 @@ from .geometry import (
     is_over,
     is_right_of,
     l_value,
-    outside_area,
-    overlap_area,
-    total_overlap,
 )
 from .oracle import OracleCapacityError, OracleLimits, oracle_corners, oracle_feasible
 from .render import render_svg
@@ -151,8 +148,6 @@ __all__ = [
     "max_left_slide",
     "oracle_corners",
     "oracle_feasible",
-    "outside_area",
-    "overlap_area",
     "overlap_volume",
     "parse_instance",
     "parse_solution",
@@ -162,5 +157,4 @@ __all__ = [
     "solve",
     "supporting_rects",
     "table1_packing",
-    "total_overlap",
 ]

@@ -56,7 +56,10 @@ def _container_arg(text: str) -> Container:
     m = re.fullmatch(r"(\d+)x(\d+)", text)
     if not m:
         raise argparse.ArgumentTypeError(f"expected WIDTHxHEIGHT, got {text!r}")
-    return Container(int(m.group(1)), int(m.group(2)))
+    try:
+        return Container(int(m.group(1)), int(m.group(2)))
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e))
 
 
 def _write_or_print(text: str, out: str | None) -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from .corners import enumerate_corners
+from .corners import _grid, _grow, _orientations, _positions
 from .geometry import Container, Instance, Packing, Placement, RectDims
 
 
@@ -93,23 +93,24 @@ def corner_walk_packing(container: Container, count: int, rng: random.Random) ->
         )
     dims: list[RectDims] = []
     placements: list[Placement] = []
+    grid = _grid([], container.width, container.height)
     used = 0
     for step in range(count):
         budget = container.area - used - (count - step - 1)
-        p = Packing(Instance(container, tuple(dims)), tuple(placements))
         for _attempt in range(10):
             shape = RectDims(
                 rng.randint(1, min(5, container.width)),
                 rng.randint(1, min(5, container.height)),
             )
-            corners = enumerate_corners(p, shape) if shape.area <= budget else []
-            if corners:
+            boxes = _positions(grid, container, _orientations(shape)) if shape.area <= budget else []
+            if boxes:
                 break
         else:
             shape = RectDims(1, 1)
-            corners = enumerate_corners(p, shape)
-        corner = rng.choice(corners)
+            boxes = _positions(grid, container, _orientations(shape))
+        box = rng.choice(boxes)
+        grid = _grow(grid, box)
         dims.append(shape)
-        placements.append(Placement(corner.x, corner.y, corner.rotated))
+        placements.append(Placement(box[0], box[1], box[2] - box[0] != shape.width))
         used += shape.area
     return Packing(Instance(container, tuple(dims)), tuple(placements))

@@ -1,8 +1,8 @@
-"""Integral rectangle geometry: overlap arithmetic and directional relations.
+"""Integral rectangle geometry: boxes, overlap and feasibility, and directional relations.
 
 All coordinates and extents are integers. A placed rectangle occupies the
 half-open box ``[x, x + w) x [y, y + h)``, so rectangles that merely share
-an edge or a corner have zero overlap area and all computations are exact.
+an edge or a corner do not overlap and all computations are exact.
 
 Only this module turns placements into boxes ``(x1, y1, x2, y2)``
 (:meth:`Packing.boxes`) and relates two boxes: overlap, over, right of,
@@ -134,10 +134,6 @@ class PlacedRect:
         """Top edge (exclusive)."""
         return self.box[3]
 
-    @property
-    def area(self) -> int:
-        return self.dims.area
-
 
 @dataclass(frozen=True)
 class Instance:
@@ -219,13 +215,6 @@ class Packing:
         return Packing(self.instance, tuple(updated))
 
 
-def _interval_overlap(a1: int, a2: int, b1: int, b2: int) -> int:
-    """Length of the intersection of half-open intervals [a1,a2) and [b1,b2)."""
-    lo = a1 if a1 > b1 else b1
-    hi = a2 if a2 < b2 else b2
-    return hi - lo if hi > lo else 0
-
-
 def boxes_overlap(a: Box, b: Box) -> bool:
     """True when the boxes share positive area; touching edges do not count."""
     return a[0] < b[2] and b[0] < a[2] and a[1] < b[3] and b[1] < a[3]
@@ -249,40 +238,6 @@ def box_touches(a: Box, b: Box, left: bool) -> bool:
     if left:
         return a[2] == b[0] and a[1] < b[3] and b[1] < a[3]
     return a[3] == b[1] and a[0] < b[2] and b[0] < a[2]
-
-
-def overlap_area(a: PlacedRect, b: PlacedRect) -> int:
-    """Area of the intersection of two placed rectangles.
-
-    Zero when the rectangles only touch along an edge or at a corner.
-    Symmetric in its arguments.
-    """
-    ax1, ay1, ax2, ay2 = a.box
-    bx1, by1, bx2, by2 = b.box
-    return _interval_overlap(ax1, ax2, bx1, bx2) * _interval_overlap(ay1, ay2, by1, by2)
-
-
-def outside_area(r: PlacedRect, c: Container) -> int:
-    """Area of ``r`` protruding beyond the container's borders."""
-    x1, y1, x2, y2 = r.box
-    return r.area - _interval_overlap(x1, x2, 0, c.width) * _interval_overlap(y1, y2, 0, c.height)
-
-
-def total_overlap(p: Packing) -> int:
-    """Sum of all pairwise overlap areas plus each rectangle's outside area.
-
-    Zero exactly when the placed rectangles form a feasible packing:
-    pairwise non-overlapping and none overstepping a container border.
-    Unplaced rectangles contribute nothing.
-    """
-    placed = [rect for _, rect in p.iter_placed()]
-    total = 0
-    for rect in placed:
-        total += outside_area(rect, p.instance.container)
-    for i in range(len(placed)):
-        for j in range(i + 1, len(placed)):
-            total += overlap_area(placed[i], placed[j])
-    return total
 
 
 def is_feasible(p: Packing) -> bool:

@@ -15,11 +15,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geometry import _interval_overlap
-
 POS_X = "+x"
 POS_Y = "+y"
 POS_Z = "+z"
+
+
+def _interval_overlap(a1: int, a2: int, b1: int, b2: int) -> int:
+    """Length of the intersection of half-open intervals [a1,a2) and [b1,b2)."""
+    lo = a1 if a1 > b1 else b1
+    hi = a2 if a2 < b2 else b2
+    return hi - lo if hi > lo else 0
 
 
 @dataclass(frozen=True)

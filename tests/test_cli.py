@@ -182,6 +182,11 @@ def test_usage_errors_exit_three_not_two(capsys):
     assert main(["gen", "--container", "4x4", "--count", "-1"]) == 3
     _, err = capsys.readouterr()
     assert "error" in err
+    # A parsed but empty container names the rule it breaks.
+    for sides in ("0x5", "3x0"):
+        assert main(["gen", "--container", sides, "--count", "1"]) == 3
+        _, err = capsys.readouterr()
+        assert f"argument --container: container sides must be integers >= 1, got {sides}\n" in err
 
 
 def test_compact_moves_floating_rect(workdir, capsys):

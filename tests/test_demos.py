@@ -30,6 +30,16 @@ def test_demos_run_and_tell_their_story():
     assert "escaping box: None" in out["04"].splitlines()
 
 
+def test_readme_library_example_prints_what_it_says():
+    (example,) = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(encoding="utf-8"), re.S)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", example], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "SolveStatus.FEASIBLE\n[(0, 0), (2, 0)]\n"
+
+
 def test_render_gallery_demo_writes_four_svgs(tmp_path):
     # Run a copy of demo 05 in a scratch directory, so its gallery is
     # written there and not into the source tree.

@@ -4,6 +4,7 @@ import pytest
 
 from cornerpack import (
     Container,
+    Packing,
     corner_walk_packing,
     guillotine_layout,
     is_bottom_left_stable,
@@ -88,6 +89,22 @@ def test_corner_walk_is_deterministic_per_seed():
     a = corner_walk_packing(Container(9, 9), 6, random.Random(42))
     b = corner_walk_packing(Container(9, 9), 6, random.Random(42))
     assert a == b
+
+
+def test_corner_walk_derives_no_box_map(monkeypatch):
+    # The walk grows one occupancy grid box by box; it never rebuilds the
+    # packing so far to derive its boxes afresh at each step.
+    derived = []
+    boxes = Packing.boxes
+
+    def counted(self):
+        derived.append(self)
+        return boxes(self)
+
+    monkeypatch.setattr(Packing, "boxes", counted)
+    p = corner_walk_packing(Container(12, 12), 40, random.Random(1))
+    assert p.instance.n == 40
+    assert derived == []
 
 
 def _listed_split(x, y, w, h, k, rng, out):

@@ -1,4 +1,5 @@
-"""Geometry primitives: overlap arithmetic, directional relations, L."""
+"""Geometry primitives: boxes, overlap and feasibility checked against the
+unit cells each box covers, directional relations, L."""
 
 import random
 
@@ -23,10 +24,7 @@ from cornerpack import (
     l_value,
     max_down_slide,
     max_left_slide,
-    outside_area,
-    overlap_area,
     supporting_rects,
-    total_overlap,
 )
 from cornerpack.geometry import box_over, box_right_of, box_touches, boxes_overlap
 
@@ -103,61 +101,76 @@ def test_rotation_swaps_effective_sides():
     assert p.boxes() == {0: (1, 1, 3, 4), 2: (2, 0, 5, 2)}
 
 
-# --- overlap_area ---
+# --- boxes_overlap / is_feasible, against the cells ---
+
+
+def cells(box):
+    """The unit cells ``[x, x2) x [y, y2)`` that a box covers."""
+    x, y, x2, y2 = box
+    return {(i, j) for i in range(x, x2) for j in range(y, y2)}
+
+
+def feasible_by_cells(p):
+    """No cell is covered twice and no covered cell lies outside the container."""
+    c = p.instance.container
+    inside = cells((0, 0, c.width, c.height))
+    covered = set()
+    for _, r in p.iter_placed():
+        mine = cells(r.box)
+        if mine & covered or not mine <= inside:
+            return False
+        covered |= mine
+    return True
 
 
 def test_overlap_identical_unit_squares():
-    assert overlap_area(placed(1, 1, 0, 0), placed(1, 1, 0, 0)) == 1
+    a = b = placed(1, 1, 0, 0).box
+    assert cells(a) & cells(b) == {(0, 0)}
+    assert boxes_overlap(a, b)
 
 
 def test_overlap_edge_contact_is_zero():
-    assert overlap_area(placed(2, 2, 0, 0), placed(2, 2, 2, 0)) == 0
+    a, b = placed(2, 2, 0, 0).box, placed(2, 2, 2, 0).box
+    assert not cells(a) & cells(b)
+    assert not boxes_overlap(a, b) and not boxes_overlap(b, a)
 
 
 def test_overlap_partial_corner():
-    # Intersection is x in [2,3), y in [1,2): one unit cell.
-    assert overlap_area(placed(3, 2, 0, 0), placed(2, 2, 2, 1)) == 1
+    a, b = placed(3, 2, 0, 0).box, placed(2, 2, 2, 1).box
+    assert cells(a) & cells(b) == {(2, 1)}
+    assert boxes_overlap(a, b) and boxes_overlap(b, a)
 
 
 @given(
     st.tuples(st.integers(0, 8), st.integers(0, 8), st.integers(1, 6), st.integers(1, 6)),
     st.tuples(st.integers(0, 8), st.integers(0, 8), st.integers(1, 6), st.integers(1, 6)),
 )
-def test_overlap_symmetric_and_bounded(a, b):
-    ra = placed(a[2], a[3], a[0], a[1])
-    rb = placed(b[2], b[3], b[0], b[1])
-    v = overlap_area(ra, rb)
-    assert v == overlap_area(rb, ra)
-    assert 0 <= v <= min(ra.area, rb.area)
+def test_overlap_symmetric_and_matches_cells(a, b):
+    ab = placed(a[2], a[3], a[0], a[1]).box
+    bb = placed(b[2], b[3], b[0], b[1]).box
+    shared = bool(cells(ab) & cells(bb))
+    assert boxes_overlap(ab, bb) == boxes_overlap(bb, ab) == shared
 
 
-# --- outside_area ---
+@pytest.mark.parametrize(
+    "x, y, w, h, inside",
+    [(0, 0, 2, 2, True), (3, 0, 2, 2, False), (5, 5, 1, 1, False)],
+    ids=["fully_inside", "protruding_column", "fully_outside"],
+)
+def test_feasible_only_inside_the_container(x, y, w, h, inside):
+    p = make_packing(4, 4, (w, h, x, y))
+    assert is_feasible(p) == feasible_by_cells(p) == inside
 
 
-def test_outside_area_fully_inside():
-    assert outside_area(placed(2, 2, 0, 0), Container(4, 4)) == 0
-
-
-def test_outside_area_protruding_column():
-    assert outside_area(placed(2, 2, 3, 0), Container(4, 4)) == 2
-
-
-def test_outside_area_fully_outside():
-    assert outside_area(placed(1, 1, 5, 5), Container(4, 4)) == 1
-
-
-# --- total_overlap / is_feasible ---
-
-
-def test_total_overlap_empty_packing():
+def test_feasible_empty_packing():
     p = Packing(Instance(Container(4, 4), ()), ())
-    assert total_overlap(p) == 0
-    assert is_feasible(p)
+    assert is_feasible(p) and feasible_by_cells(p)
 
 
-def test_total_overlap_single_pairwise_term():
+def test_infeasible_single_overlapping_pair():
     p = make_packing(4, 4, (2, 2, 0, 0), (2, 2, 1, 1))
-    assert total_overlap(p) == 1
+    a, b = p.boxes().values()
+    assert cells(a) & cells(b) == {(1, 1)}
     assert not is_feasible(p)
 
 
@@ -169,10 +182,10 @@ def test_feasible_perfect_split():
 def test_infeasible_border_overstep():
     p = make_packing(4, 4, (1, 1, 4, 0))
     assert not is_feasible(p)
-    assert total_overlap(p) == 1
+    assert not feasible_by_cells(p)
 
 
-def test_total_overlap_zero_iff_feasible_fuzz():
+def test_is_feasible_matches_cells_fuzz():
     rng = random.Random(90125)
     agree = 0
     for _ in range(10_000):
@@ -185,15 +198,15 @@ def test_total_overlap_zero_iff_feasible_fuzz():
             for _ in range(n)
         )
         p = Packing(Instance(Container(width, height), dims), placements)
-        assert (total_overlap(p) == 0) == is_feasible(p)
+        assert is_feasible(p) == feasible_by_cells(p)
         # The box view is the PlacedRect view, rotated rectangles included,
-        # and the box overlap predicate agrees with the overlap area.
+        # and the box overlap predicate agrees with the shared cells.
         rects = dict(p.iter_placed())
         boxes = p.boxes()
         assert boxes == {i: (r.x, r.y, r.x2, r.y2) for i, r in rects.items()}
-        for i in rects:
-            for j in rects:
-                assert boxes_overlap(boxes[i], boxes[j]) == (overlap_area(rects[i], rects[j]) > 0)
+        for i in boxes:
+            for j in boxes:
+                assert boxes_overlap(boxes[i], boxes[j]) == bool(cells(boxes[i]) & cells(boxes[j]))
         agree += 1
     assert agree == 10_000
     # Up to 15 rectangles in containers up to 12x12: guillotine tilings,
@@ -213,7 +226,7 @@ def test_total_overlap_zero_iff_feasible_fuzz():
                 pl.rotated != (rng.random() < 0.3),
             )
         p = Packing(layout.instance, placements)
-        assert (total_overlap(p) == 0) == is_feasible(p)
+        assert is_feasible(p) == feasible_by_cells(p)
         verdicts.append(is_feasible(p))
     assert 1_000 < sum(verdicts) < 3_000
 
@@ -264,26 +277,30 @@ def _shifted(r: PlacedRect, dx: int, dy: int) -> PlacedRect:
     return PlacedRect(r.dims, Placement(r.x + dx, r.y + dy, r.placement.rotated))
 
 
+def _shares_cell(a: PlacedRect, b: PlacedRect) -> bool:
+    return bool(cells(a.box) & cells(b.box))
+
+
 def test_is_over_matches_displacement_search():
-    # The closed form must agree with "some upward shift of the lower
-    # rectangle creates overlap" on small coordinates.
+    # The closed form must agree with "the lower rectangle shares a cell
+    # with the upper one after some upward shift" on small coordinates.
     rng = random.Random(8128)
     checked = 0
     while checked < 2_000:
         a = placed(rng.randint(1, 4), rng.randint(1, 4), rng.randint(0, 10), rng.randint(0, 10))
         b = placed(rng.randint(1, 4), rng.randint(1, 4), rng.randint(0, 10), rng.randint(0, 10))
-        if overlap_area(a, b) > 0:
+        if _shares_cell(a, b):
             continue
-        by_shift = any(overlap_area(a, _shifted(b, 0, d)) > 0 for d in range(1, 30))
+        by_shift = any(_shares_cell(a, _shifted(b, 0, d)) for d in range(1, 30))
         assert is_over(a, b) == by_shift
-        by_shift_right = any(overlap_area(a, _shifted(b, d, 0)) > 0 for d in range(1, 30))
+        by_shift_right = any(_shares_cell(a, _shifted(b, d, 0)) for d in range(1, 30))
         assert is_right_of(a, b) == by_shift_right
         assert box_over(a.box, b.box) == is_over(a, b)
         assert box_right_of(a.box, b.box) == is_right_of(a, b)
         # b touches a's left (bottom) side exactly when b ends at or before
-        # a starts and a unit shift of b right (up) makes them overlap.
+        # a starts and b shares a cell with a after a unit shift right (up).
         for left, dx, dy, ends_before in ((True, 1, 0, b.x2 <= a.x), (False, 0, 1, b.y2 <= a.y)):
-            by_unit_shift = ends_before and overlap_area(a, _shifted(b, dx, dy)) > 0
+            by_unit_shift = ends_before and _shares_cell(a, _shifted(b, dx, dy))
             assert box_touches(b.box, a.box, left) == by_unit_shift
         checked += 1
 
