@@ -73,7 +73,6 @@ from .space3d import (
     blocked_directions3,
     find_escaper3,
     is_feasible3,
-    overlap_volume,
     table1_packing,
 )
 from .stability import (
@@ -148,7 +147,6 @@ __all__ = [
     "max_left_slide",
     "oracle_corners",
     "oracle_feasible",
-    "overlap_volume",
     "parse_instance",
     "parse_solution",
     "placement_order",

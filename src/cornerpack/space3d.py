@@ -20,16 +20,14 @@ POS_Y = "+y"
 POS_Z = "+z"
 
 
-def _interval_overlap(a1: int, a2: int, b1: int, b2: int) -> int:
-    """Length of the intersection of half-open intervals [a1,a2) and [b1,b2)."""
-    lo = a1 if a1 > b1 else b1
-    hi = a2 if a2 < b2 else b2
-    return hi - lo if hi > lo else 0
+def _meets(a1: int, a2: int, b1: int, b2: int) -> bool:
+    """Whether half-open intervals [a1,a2) and [b1,b2) share a point."""
+    return a1 < b2 and b1 < a2
 
 
 @dataclass(frozen=True)
 class _Extents:
-    """Three validated extents and their volume."""
+    """Three validated extents."""
 
     width: int
     depth: int
@@ -40,10 +38,6 @@ class _Extents:
             v = getattr(self, name)
             if not (type(v) is int and v >= 1):
                 raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
-
-    @property
-    def volume(self) -> int:
-        return self.width * self.depth * self.height
 
 
 class BoxDims(_Extents):
@@ -88,28 +82,19 @@ class Packing3:
     boxes: tuple[PlacedBox3, ...] = ()
 
 
-def overlap_volume(a: PlacedBox3, b: PlacedBox3) -> int:
-    """Volume of the intersection of two placed boxes; symmetric."""
-    return (
-        _interval_overlap(a.x, a.x2, b.x, b.x2)
-        * _interval_overlap(a.y, a.y2, b.y, b.y2)
-        * _interval_overlap(a.z, a.z2, b.z, b.z2)
-    )
-
-
 def _inside(box: PlacedBox3, c: Container3) -> bool:
     return box.x2 <= c.width and box.y2 <= c.depth and box.z2 <= c.height
 
 
 def is_feasible3(p: Packing3) -> bool:
-    """Every box inside the container, all pairwise overlap volumes zero."""
+    """Every box inside the container, and no pair meets on all three axes."""
     boxes = p.boxes
     if not all(_inside(b, p.container) for b in boxes):
         return False
-    return all(
-        overlap_volume(boxes[i], boxes[j]) == 0
-        for i in range(len(boxes))
-        for j in range(i + 1, len(boxes))
+    return not any(
+        _meets(a.x, a.x2, b.x, b.x2) and _meets(a.y, a.y2, b.y, b.y2) and _meets(a.z, a.z2, b.z, b.z2)
+        for i, a in enumerate(boxes)
+        for b in boxes[i + 1 :]
     )
 
 
@@ -117,18 +102,17 @@ def blocked_directions3(i: int, p: Packing3) -> frozenset[str]:
     """Positive axis directions box ``i`` cannot move along freely.
 
     A direction is blocked when some other box sits entirely beyond the
-    moving face with positive cross-section overlap in the other two
-    axes; as in 2D, any displacement counts and container borders are
-    ignored.
+    moving face and meets it on the other two axes; as in 2D, any
+    displacement counts and container borders are ignored.
     """
     a = p.boxes[i]
     blocked = set()
     for j, b in enumerate(p.boxes):
         if j == i:
             continue
-        x_over = _interval_overlap(a.x, a.x2, b.x, b.x2) > 0
-        y_over = _interval_overlap(a.y, a.y2, b.y, b.y2) > 0
-        z_over = _interval_overlap(a.z, a.z2, b.z, b.z2) > 0
+        x_over = _meets(a.x, a.x2, b.x, b.x2)
+        y_over = _meets(a.y, a.y2, b.y, b.y2)
+        z_over = _meets(a.z, a.z2, b.z, b.z2)
         if y_over and z_over and b.x >= a.x2:
             blocked.add(POS_X)
         if x_over and z_over and b.y >= a.y2:

@@ -16,6 +16,7 @@ import json
 import random
 import time
 import xml.etree.ElementTree as ET
+from collections import Counter
 
 import pytest
 
@@ -60,12 +61,14 @@ from cornerpack import (
 from cornerpack.cli import main
 
 from conftest import (
+    load_perfbench,
     make_packing,
     random_complete_packing,
     random_loose_packing,
     random_partial_packing,
     random_shape,
 )
+from test_ladders import rectangles, rungs, squares
 
 BOTH_FREE = frozenset({UP, RIGHT})
 
@@ -339,6 +342,53 @@ def corner_tree_size(instance: Instance, enhanced: bool) -> int:
     return size(Packing.empty(instance))
 
 
+def cells_feasible(instance: Instance) -> bool:
+    """Whether the rectangles fit, decided cell by cell without corners.
+
+    The lowest, then leftmost, free cell is either left empty for good,
+    which spends one cell of slack, or it is the bottom-left cell of the
+    next member of some shape class, in each orientation that fits
+    there. Occupancy is one int of W*H bits, bit ``y*W + x`` for cell
+    (x, y). An instance whose rectangle area exceeds the container's is
+    refused before the search, since negative slack would let "leave
+    empty" fill the container.
+    """
+    W, H = instance.container.width, instance.container.height
+    slack = W * H - sum(r.width * r.height for r in instance.rects)
+    if slack < 0:
+        return False
+    counts = Counter(r.canonical() for r in instance.rects)
+    # Per class: its orientations as (width, height, mask of its cells at the origin).
+    orientations = {
+        (a, b): [
+            (w, h, sum(((1 << w) - 1) << (row * W) for row in range(h)))
+            for w, h in {(a, b), (b, a)}
+        ]
+        for a, b in counts
+    }
+    full = (1 << (W * H)) - 1
+
+    def search(occupied: int, left: int, slack: int) -> bool:
+        if not left:
+            return True
+        free = full & ~occupied
+        cell = (free & -free).bit_length() - 1
+        y, x = divmod(cell, W)
+        for shape, count in counts.items():
+            if not count:
+                continue
+            for w, h, mask in orientations[shape]:
+                if x + w <= W and y + h <= H and not occupied & (mask << cell):
+                    counts[shape] -= 1
+                    found = search(occupied | mask << cell, left - 1, slack)
+                    counts[shape] += 1
+                    if found:
+                        return True
+        return slack > 0 and search(occupied | 1 << cell, left, slack - 1)
+
+    return search(0, len(instance.rects), slack)
+
+
 def reference_solve(instance: Instance, config: SolverConfig):
     """First-solution corner search through the public API only.
 
@@ -425,6 +475,54 @@ def test_solve_walks_the_reference_search_on_budgeted_tilings():
                 assert got == reference_solve(instance, config), (instance, order, enhanced)
                 statuses.add(result.status)
     assert statuses == {SolveStatus.FEASIBLE, SolveStatus.UNKNOWN}
+
+
+def assert_solves_agree(instance: Instance, feasible: bool, modes=(True, False)):
+    want = SolveStatus.FEASIBLE if feasible else SolveStatus.INFEASIBLE
+    for enhanced in modes:
+        assert solve(instance, SolverConfig(enhanced_pruning=enhanced)).status is want, (
+            instance,
+            enhanced,
+        )
+
+
+@pytest.mark.parametrize(
+    "family, n, modes",
+    [pytest.param(squares, n, (True, False), id=f"squares-{n}") for n in range(2, 7)]
+    + [
+        # Plain mode takes seconds on the 6- and 7-rectangles ladders.
+        pytest.param(rectangles, n, (True, False) if n <= 5 else (True,), id=f"rectangles-{n}")
+        for n in range(2, 8)
+    ],
+)
+def test_solve_agrees_with_the_cell_search_on_the_ladders(family, n, modes):
+    for instance in rungs(family(n), n):
+        feasible = cells_feasible(instance)
+        assert_solves_agree(instance, feasible, modes)
+        if feasible:
+            break
+
+
+def test_solve_agrees_with_the_cell_search_on_benchmark_slices():
+    # The 16x16/10 and larger tilings are left out: the cell search does
+    # not finish the 20x20 and 24x24 ones in minutes.
+    workloads = load_perfbench("workloads")
+    nearmiss = workloads.make_nearmiss(0)[::9]
+    tilings = workloads.make_tiling(0)[: workloads.TILING_SIZES[0][3] : 5]
+    assert len(nearmiss) == 40 and len(tilings) == 35
+    for item in nearmiss:
+        assert not cells_feasible(item.instance)
+        assert_solves_agree(item.instance, False)
+    for item in tilings:
+        assert item.instance.container == Container(12, 8)
+        assert cells_feasible(item.instance)
+        assert_solves_agree(item.instance, True)
+    crosscheck = workloads.make_crosscheck(0)
+    assert len(crosscheck) == 4000
+    for item in crosscheck:
+        feasible = cells_feasible(item.instance)
+        assert (oracle_feasible(item.instance) is not None) == feasible, item.instance
+        assert_solves_agree(item.instance, feasible)
 
 
 def test_criterion_7_pruning_node_counts(completeness_suite, capsys):

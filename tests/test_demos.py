@@ -2,6 +2,7 @@
 
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -38,6 +39,28 @@ def test_readme_library_example_prints_what_it_says():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "SolveStatus.FEASIBLE\n[(0, 0), (2, 0)]\n"
+
+
+def test_readme_command_line_block_runs(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Command line\n\n```sh\n(.*?)```", readme, re.S).group(1)
+    lines = block.splitlines()
+    assert len(lines) == 7 and all(line.startswith("cornerpack ") for line in lines)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    cli = f"{shlex.quote(sys.executable)} -m cornerpack"
+    for line in lines:
+        done = subprocess.run(
+            cli + line[len("cornerpack") :],
+            shell=True,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+            cwd=tmp_path,
+        )
+        # The generated instance is feasible, so every line exits 0.
+        assert done.returncode == 0, f"{line}: {done.stderr}"
+    assert done.stdout.splitlines()[-1] == "no escaper exists: true"
 
 
 def test_render_gallery_demo_writes_four_svgs(tmp_path):

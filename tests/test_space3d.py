@@ -16,7 +16,6 @@ from cornerpack import (
     find_escaper3,
     free_directions,
     is_feasible3,
-    overlap_volume,
     table1_packing,
 )
 
@@ -29,6 +28,20 @@ def box(w, d, h, x, y, z):
 
 def _shifted(b, dx, dy, dz):
     return PlacedBox3(b.dims, b.x + dx, b.y + dy, b.z + dz)
+
+
+def cells(b):
+    """The unit cells ``[x, x2) x [y, y2) x [z, z2)`` that a box covers."""
+    return {
+        (i, j, k)
+        for i in range(b.x, b.x2)
+        for j in range(b.y, b.y2)
+        for k in range(b.z, b.z2)
+    }
+
+
+def _shares_cell(a, b):
+    return bool(cells(a) & cells(b))
 
 
 def test_dims_and_container_reject_non_positive_extents():
@@ -65,27 +78,38 @@ def test_placed_box_coordinates_must_be_integers(bad):
             PlacedBox3(BoxDims(1, 1, 1), *coords)
 
 
-def test_volume_and_far_corner():
+def test_far_corner():
     b = box(2, 3, 4, 1, 0, 5)
-    assert b.dims.volume == 24
     assert (b.x2, b.y2, b.z2) == (3, 3, 9)
-    assert Container3(3, 2, 3).volume == 18
+    assert len(cells(b)) == 24
 
 
-def test_overlap_volume_examples():
+def _pair_feasible(a, b):
+    return is_feasible3(Packing3(Container3(8, 8, 8), (a, b)))
+
+
+@pytest.mark.parametrize(
+    "b, shared",
+    [
+        (box(2, 2, 2, 2, 0, 0), set()),
+        (box(2, 2, 2, 1, 1, 1), {(1, 1, 1)}),
+        (box(2, 2, 2, 0, 0, 0), cells(box(2, 2, 2, 0, 0, 0))),
+        (box(1, 1, 1, 0, 0, 5), set()),
+    ],
+    ids=["face_contact", "corner_cube", "identical", "far_above"],
+)
+def test_pair_feasibility_matches_cells(b, shared):
     a = box(2, 2, 2, 0, 0, 0)
-    assert overlap_volume(a, box(2, 2, 2, 2, 0, 0)) == 0  # face contact
-    assert overlap_volume(a, box(2, 2, 2, 1, 1, 1)) == 1
-    assert overlap_volume(a, a) == 8
-    assert overlap_volume(a, box(1, 1, 1, 0, 0, 5)) == 0
+    assert cells(a) & cells(b) == shared
+    assert _pair_feasible(a, b) == (not shared)
 
 
-def test_overlap_volume_is_symmetric():
+def test_pair_feasibility_is_symmetric_and_matches_cells():
     rng = random.Random(741)
     for _ in range(300):
         a = box(*(rng.randint(1, 3) for _ in range(3)), *(rng.randint(0, 4) for _ in range(3)))
         b = box(*(rng.randint(1, 3) for _ in range(3)), *(rng.randint(0, 4) for _ in range(3)))
-        assert overlap_volume(a, b) == overlap_volume(b, a)
+        assert _pair_feasible(a, b) == _pair_feasible(b, a) == (not _shares_cell(a, b))
 
 
 def test_feasibility_checks_borders_and_pairs():
@@ -131,18 +155,14 @@ def test_blocked_matches_displacement_search():
             box(*(rng.randint(1, 3) for _ in range(3)), *(rng.randint(0, 5) for _ in range(3)))
             for _ in range(3)
         )
-        if any(
-            overlap_volume(boxes[i], boxes[j]) > 0
-            for i in range(3)
-            for j in range(i + 1, 3)
-        ):
+        if any(_shares_cell(boxes[i], boxes[j]) for i in range(3) for j in range(i + 1, 3)):
             continue
         p = Packing3(Container3(20, 20, 20), boxes)
         for i in range(3):
             blocked = blocked_directions3(i, p)
             for direction, step in ((POS_X, (1, 0, 0)), (POS_Y, (0, 1, 0)), (POS_Z, (0, 0, 1))):
                 by_shift = any(
-                    overlap_volume(_shifted(boxes[i], d * step[0], d * step[1], d * step[2]), boxes[j]) > 0
+                    _shares_cell(_shifted(boxes[i], d * step[0], d * step[1], d * step[2]), boxes[j])
                     for d in range(1, 12)
                     for j in range(3)
                     if j != i
@@ -179,7 +199,7 @@ def test_fixed_configuration_geometry():
     ]
     assert [(b.x, b.y, b.z) for b in p.boxes] == [(2, 0, 0), (0, 1, 1), (0, 0, 2), (1, 0, 0)]
     assert is_feasible3(p)
-    assert sum(b.dims.volume for b in p.boxes) == 10
+    assert sum(len(cells(b)) for b in p.boxes) == 10
 
 
 def test_fixed_configuration_blocked_sets():
