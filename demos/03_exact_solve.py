@@ -6,9 +6,11 @@ The solver's only move is placing a rectangle onto a bottom-left corner,
 which is enough to find a packing whenever one exists. The enhanced mode
 additionally skips placements that leave the new rectangle under or left
 of an existing one, and placements after which the free area that can no
-longer be covered exceeds the container's spare area. Its search tree is
-a subset of the plain one, so it is
-never larger and the verdict never changes. The search stops at the first
+longer be covered exceeds the container's spare area. When the rectangles
+fill the container exactly, every cell gets covered, so the enhanced mode
+instead branches only on what fills the lowest, then leftmost, free cell.
+Either way its search tree is a subset of the plain one, so it is never
+larger and the verdict never changes. The search stops at the first
 packing it finds, though, so on a feasible instance the pruned search can
 expand more nodes than the plain one.
 """
@@ -49,6 +51,15 @@ report(Instance(Container(3, 3), (RectDims(2, 2), RectDims(2, 2))), "provably im
 # Here pruning costs one extra node: the plain search stumbles into a
 # solution inside a subtree the enhanced search refuses to enter.
 report(
-    Instance(Container(5, 4), (RectDims(1, 2), RectDims(2, 3), RectDims(2, 3), RectDims(2, 3))),
+    Instance(Container(5, 4), (RectDims(1, 1), RectDims(2, 3), RectDims(2, 3), RectDims(2, 3))),
     "pruning is not a free lunch",
+)
+
+# With a 1x2 in place of the 1x1 the rectangles fill the container exactly.
+# The enhanced search then tries only the rectangles that fit at the
+# lowest, then leftmost, free cell, and here finds a packing a node sooner.
+print("with zero slack, enhanced mode fills the lowest, then leftmost, free cell:")
+report(
+    Instance(Container(5, 4), (RectDims(1, 2), RectDims(2, 3), RectDims(2, 3), RectDims(2, 3))),
+    "a perfect tiling",
 )

@@ -13,11 +13,13 @@ and its shape's sides (:func:`_orientations`) fix the orientation.
 shape. The search's :class:`_Board` owns the depth-first walk and reads
 the sides from a table built once per solve. In plain mode it grows each
 node's grid from its parent's by one box (:func:`_grow`). In enhanced
-mode the placed and dead cells form a staircase, which each box climbs;
-the corners are its concave corners, where a box is never dominated, and
-each node carries its remaining dead-area budget. The scan alone sums a
-box's dead area off the steps, stopping once past the budget, and hands
-each corner on with the budget its child keeps. :func:`_supports` only
+mode with slack the placed and dead cells form a staircase, which each
+box climbs; the corners are its concave corners, where a box is never
+dominated, and each node carries its remaining dead-area budget. The
+scan alone sums a box's dead area off the steps, stopping once past the
+budget, and hands each corner on with the budget its child keeps. At
+zero slack it grows plain mode's grid, and a box goes only at the lowest,
+then leftmost, free cell (:func:`_lowest_free`). :func:`_supports` only
 names a corner's supports, and an action is checked against the supports
 it names (:func:`_action_box`).
 """
@@ -173,6 +175,21 @@ def _corner_scan(grid: Grid, c: Container, ew: int, eh: int) -> list[Box]:
     return out
 
 
+def _lowest_free(grid: Grid) -> tuple[int, int, int] | None:
+    """The lowest, then leftmost, free cell of ``grid`` as ``(x, y, end)``:
+    its bottom-left and the right end of the free run it starts in its grid
+    row; None when every cell is covered."""
+    xs, ys, rows = grid
+    full = (1 << (len(xs) - 1)) - 1
+    for k, row in enumerate(rows):
+        if row != full:
+            free = ~row & (row + 1)  # the lowest clear bit
+            right = row & -free  # the covered columns right of it
+            end = (right & -right).bit_length() - 1 if right else len(xs) - 1
+            return xs[free.bit_length() - 1], ys[k], xs[end]
+    return None
+
+
 def _orientations(shape: RectDims) -> tuple[tuple[int, int], ...]:
     """The sides ``(ew, eh)`` of each orientation, unrotated first; one for a square."""
     w, h = shape.width, shape.height
@@ -296,12 +313,16 @@ class _Board:
     None), and its dead-area budget. :meth:`place` and :meth:`unplace` are
     exact inverses; :meth:`unplace` reads the mode off the record it pops.
 
-    Without a ``slack`` the state is the grid of the node's boxes, grown
+    The ``slack`` (container area minus rectangle area, or None) picks the
+    move rule. Without one the state is the grid of the node's boxes, grown
     from its parent's by the last box (None on a full board, which is never
-    scanned), and the budget is None. A ``slack`` (container area minus
-    rectangle area) turns on enhanced pruning: no box goes under or left of
-    a placed one, so a free cell with a placed box over it or right of it
-    stays free (it is dead). The placed and dead cells are then closed
+    scanned), and the budget is None. A slack of 0 keeps that state and
+    budget, and ``hole`` is set: every cell gets covered, so the box that
+    covers the lowest, then leftmost, free cell has its bottom-left there,
+    and the moves put boxes only there, each one a plain-mode corner. A
+    positive ``slack`` turns on the staircase: no box goes under or left
+    of a placed one, so a free cell with a placed box over it or right of
+    it stays free (it is dead). The placed and dead cells are then closed
     downward and leftward, and the state is their staircase ``(xs, hs)``:
     step j spans [xs[j], xs[j+1]) up to hs[j], ``xs`` ends with the width,
     and ``hs`` falls strictly. The budget is the slack less the dead area
@@ -322,8 +343,10 @@ class _Board:
             self.dims.append(dims := _orientations(r))
             self.prev.append(last.get(shape := min(dims)))  # the smaller side first
             last[shape] = i
-        if slack is None:
+        self.hole = slack == 0
+        if slack is None or self.hole:
             root: tuple = ([0, self.container.width], [0, self.container.height], [0])
+            slack = None  # a grid state carries no budget
         else:
             root = ([0, self.container.width], [0])
             self.rights: dict[int, list[Box]] = {}
@@ -367,16 +390,28 @@ class _Board:
 
         Each class's next member, in ``order``, goes onto each of its
         corners in (y, x, rotated) order; permuting identical shapes never
-        gives a new packing. With a ``slack``, the corners are the
-        staircase's (:meth:`_stair_corners`), less those that would leave
-        more dead area than the node's budget, since no completion covers a
-        dead cell. Resume only in the node the iterator began in.
+        gives a new packing. At zero slack its corners are the boxes that
+        fit with their bottom-left at the lowest, then leftmost, free cell
+        (:func:`_lowest_free`). Every placed box went onto an earlier such
+        cell, so any box above that cell's free run covers the run's row
+        too: a box within the run and the container covers no placed cell.
+        With a positive ``slack``, they are the staircase's
+        (:meth:`_stair_corners`), less those that would leave more dead
+        area than the node's budget, since no completion covers a dead
+        cell. Resume only in the node the iterator began in.
         """
         c, boxes, prev, dims = self.container, self.boxes, self.prev, self.dims
         state, _, budget = self.nodes[-1]
+        # At zero slack, the one cell to fill; a full grid has no corners either way.
+        hole = _lowest_free(state) if self.hole and state else None
         for i in self.order:
             if boxes[i] is None and (prev[i] is None or boxes[prev[i]] is not None):
-                if budget is None:
+                if hole:
+                    x, y, end = hole
+                    for ew, eh in dims[i]:
+                        if x + ew <= end and y + eh <= c.height:
+                            yield i, (x, y, x + ew, y + eh), None
+                elif budget is None:
                     for box in _positions(state, c, dims[i]):
                         yield i, box, None
                 else:

@@ -266,6 +266,17 @@ def test_criterion_6_corner_enumeration_matches_brute_force(capsys):
     assert ok, f"{len(mismatches)} mismatches, first: {mismatches[:1]}"
 
 
+def covered_cells(p: Packing, skip: int | None = None) -> set:
+    """The unit cells covered by the placed rectangles of ``p`` but ``skip``."""
+    return {
+        (x, y)
+        for j, r in p.iter_placed()
+        if j != skip
+        for x in range(r.x, r.x + r.width)
+        for y in range(r.y, r.y + r.height)
+    }
+
+
 def dead_area(p: Packing) -> int:
     """Free unit cells of ``p`` with a covered cell above them in their
     column or right of them in their row, counted cell by cell.
@@ -274,12 +285,7 @@ def dead_area(p: Packing) -> int:
     one, so no completion it reaches covers such a cell.
     """
     c = p.instance.container
-    covered = {
-        (x, y)
-        for _, r in p.iter_placed()
-        for x in range(r.x, r.x + r.width)
-        for y in range(r.y, r.y + r.height)
-    }
+    covered = covered_cells(p)
     top = [-1] * c.width  # the highest covered cell of each column
     end = [-1] * c.height  # the rightmost covered cell of each row
     for x, y in covered:
@@ -294,9 +300,19 @@ def dead_area(p: Packing) -> int:
 
 def enhanced_drops(child: Packing, i: int, slack: int) -> bool:
     """True when enhanced pruning drops ``child``, reached by placing
-    rectangle ``i``: a placed rectangle lies over or right of the new
-    one, or the child's dead area exceeds ``slack``."""
+    rectangle ``i``.
+
+    At zero slack every cell gets covered, so the child is kept only when
+    the new rectangle's bottom-left is the lowest, then leftmost, unit
+    cell that the other placed rectangles leave free. With slack, it is
+    dropped when a placed rectangle lies over or right of the new one, or
+    when the child's dead area exceeds ``slack``.
+    """
     new = child.placed_rect(i)
+    if slack == 0:
+        c, covered = child.instance.container, covered_cells(child, skip=i)
+        free = ((x, y) for y in range(c.height) for x in range(c.width) if (x, y) not in covered)
+        return (new.x, new.y) != next(free)
     return (
         any(
             j != i and (is_over(other, new) or is_right_of(other, new))
@@ -315,9 +331,10 @@ def corner_tree_size(instance: Instance, enhanced: bool) -> int:
     shape (up to rotation) branches, and an enhanced child is dropped
     when a placed rectangle lies over or right of the new one, or when
     its dead area exceeds the slack (container area minus rectangle
-    area). Children are all visited, so the size does not depend on
-    ``rect_order``. Instances that ``quick_reject`` refuses have an empty
-    tree.
+    area); at zero slack it is kept only when its new rectangle fills the
+    lowest, then leftmost, free cell (``enhanced_drops``). Children are
+    all visited, so the size does not depend on ``rect_order``. Instances
+    that ``quick_reject`` refuses have an empty tree.
     """
     if quick_reject(instance) is not None:
         return 0
@@ -396,8 +413,10 @@ def reference_solve(instance: Instance, config: SolverConfig):
     the node limit is checked on entering a node, only the lowest
     unplaced index of each shape branches, candidates come in
     ``rect_order`` (ties by index) and corners in ``enumerate_corners``
-    order, and an enhanced child is dropped when a placed rectangle lies
-    over or right of the new one, or when its dead area exceeds the slack.
+    order, and an enhanced child is dropped as ``enhanced_drops`` says: at
+    zero slack unless it fills the lowest, then leftmost, free cell, and
+    otherwise when a placed rectangle lies over or right of the new one,
+    or when its dead area exceeds the slack.
     """
     if quick_reject(instance) is not None:
         return SolveStatus.INFEASIBLE, 0, 0, None

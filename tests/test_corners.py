@@ -310,6 +310,31 @@ def covered_cells(boxes: list) -> set:
     return {(x, y) for x1, y1, x2, y2 in boxes for x in range(x1, x2) for y in range(y1, y2)}
 
 
+def hole_moves(board: _Board, instance: Instance) -> list:
+    """The zero-slack moves out of the board's node, found cell by cell:
+    each class's next member, in the board's order, in each orientation
+    that fits with its bottom-left at the lowest, then leftmost, free unit
+    cell, unrotated first; none when every cell is covered."""
+    c, rects, boxes = instance.container, instance.rects, board.boxes
+    covered = covered_cells([b for b in boxes if b is not None])
+    free = [(x, y) for y in range(c.height) for x in range(c.width) if (x, y) not in covered]
+    out = []
+    if not free:
+        return out
+    for i in board.order:
+        shape = rects[i].canonical()
+        if boxes[i] is not None or any(
+            boxes[h] is None and rects[h].canonical() == shape for h in range(i)
+        ):
+            continue  # placed, or not its class's next member
+        (x, y), w, h = free[0], rects[i].width, rects[i].height
+        for ew, eh in dict.fromkeys([(w, h), (h, w)]):
+            cells = {(x + a, y + b) for a in range(ew) for b in range(eh)}
+            if x + ew <= c.width and y + eh <= c.height and not cells & covered:
+                out.append((i, (x, y, x + ew, y + eh), None))
+    return out
+
+
 def column_steps(cells: set, c: Container) -> tuple:
     """The heights of the columns of ``cells``, each counted cell by cell,
     as a staircase ``(xs, hs)``: one step per run of equal heights."""
@@ -333,19 +358,24 @@ def test_board_descend_walks_the_whole_tree_depth_first():
     # dead area stays within the slack, and its budget the slack less the
     # dead cells, counted cell by cell; None in plain mode), and it returns
     # False exactly when no node has moves left, with the board back at the
-    # empty root.
+    # empty root. At zero slack the state is plain mode's grid, with no
+    # budget, and every node's moves are those found cell by cell at the
+    # lowest, then leftmost, free cell (hole_moves).
     rng = random.Random(6061)
-    entered = 0
+    entered = holes = 0
     for _ in range(60):
         c = Container(rng.randint(1, 5), rng.randint(1, 5))
         rects = guillotine_layout(c, rng.randint(1, min(6, c.area)), rng).instance.rects
         instance = Instance(c, rects[: rng.randint(1, len(rects))])  # zero slack or not
         for slack in (None, c.area - instance.total_rect_area):
             board = _Board(instance, rng.sample(range(instance.n), instance.n), slack)
-            assert board.nodes[0][2] == slack
+            assert board.nodes[0][2] == (None if slack == 0 else slack)
             pending = []  # per node on the path, its moves not yet entered
             while True:
                 pending.append(list(board.moves()))
+                if slack == 0:
+                    assert pending[-1] == hole_moves(board, instance)
+                    holes += 1
                 while pending and not pending[-1]:
                     pending.pop()
                 if not board.descend():
@@ -358,7 +388,7 @@ def test_board_descend_walks_the_whole_tree_depth_first():
                 assert placed[i] == box and sum(b is not None for b in board.boxes) == len(placed)
                 assert [node[1] is None for node in board.nodes] == [False] * len(pending) + [True]
                 boxes = list(placed.values())
-                if slack is None:
+                if not slack:
                     full = len(placed) == instance.n
                     assert board.nodes[-1][0] == (None if full else _grid(boxes, c.width, c.height))
                     assert board.nodes[-1][2] is None
@@ -369,7 +399,7 @@ def test_board_descend_walks_the_whole_tree_depth_first():
                     assert board.nodes[-1][2] == slack - len(dead)
             assert pending == [] and board.path == [] and not any(board.boxes)
             assert len(board.nodes) == 1
-    assert entered > 1_000
+    assert entered > 1_000 and holes > 500
 
 
 def test_staircase_corners_are_the_undominated_scan_corners_within_the_budget():
@@ -384,9 +414,12 @@ def test_staircase_corners_are_the_undominated_scan_corners_within_the_budget():
     # of exactly its kill, with 0 left, and dropped one below, so the kill
     # is that count. The board's moves use its slack less the dead cells of
     # its boxes as the budget and carry that budget less each box's kill,
-    # and the walk places each box with that budget less its kill.
+    # and the walk places each box with that budget less its kill. A board
+    # with zero slack has no staircase: its moves for the next rectangle
+    # are those found cell by cell at the lowest, then leftmost, free cell
+    # (hole_moves), and the walk places one of them.
     rng = random.Random(5150)
-    kept = dominated = over = killed = turned = backed = 0
+    kept = dominated = over = killed = turned = backed = holes = 0
     for _ in range(300):
         c = Container(rng.randint(1, 9), rng.randint(1, 9))
         instance = Instance(c, tuple(random_shape(rng, 4, 4) for _ in range(rng.randint(1, 12))))
@@ -394,6 +427,17 @@ def test_staircase_corners_are_the_undominated_scan_corners_within_the_budget():
         board = _Board(instance, list(range(instance.n)), slack)
         while len(board.path) < instance.n:
             i = len(board.path)
+            if slack == 0:
+                children = [move for move in hole_moves(board, instance) if move[0] == i]
+                assert [move for move in board.moves() if move[0] == i] == children
+                holes += len(children)
+                if board.path and rng.random() < 0.2:
+                    board.unplace()
+                elif children:
+                    board.place(*rng.choice(children))
+                else:
+                    break
+                continue
             shape = instance.rects[i]
             stair = board.nodes[-1][0]
             placed = [b for b in board.boxes if b is not None]
@@ -428,7 +472,7 @@ def test_staircase_corners_are_the_undominated_scan_corners_within_the_budget():
                 board.place(i, box, left - kills[box])
             else:
                 break
-    assert min(kept, dominated, over, killed, turned, backed) > 0
+    assert min(kept, dominated, over, killed, turned, backed, holes) > 0
 
 
 def test_staircase_is_the_closed_set_of_placed_and_dead_cells():
@@ -500,12 +544,16 @@ def test_corner_cost_does_not_grow_with_the_container():
     assert full.is_complete and enumerate_corners(full, RectDims(1, 1)) == []
 
 
-def _subtree_size(board):
-    """The nodes under and including the board's current node."""
+def _subtree_size(board, instance=None):
+    """The nodes under and including the board's current node; given the
+    ``instance``, each node's moves must be those of hole_moves."""
     size = 1
-    for i, box, budget in list(board.moves()):
+    moves = list(board.moves())
+    if instance is not None:
+        assert moves == hole_moves(board, instance)
+    for i, box, budget in moves:
         board.place(i, box, budget)
-        size += _subtree_size(board)
+        size += _subtree_size(board, instance)
         board.unplace()
     return size
 
@@ -513,9 +561,12 @@ def _subtree_size(board):
 def test_mirrored_root_boxes_in_a_square_container_have_subtrees_of_one_size():
     # In a W x W container the corner rule and the dead-cell rule are both
     # symmetric under (x, y) -> (y, x), so the subtree under a non-square
-    # class-first box at the origin mirrors the one under it rotated.
+    # class-first box at the origin mirrors the one under it rotated. At
+    # zero slack the board branches on the lowest, then leftmost, free
+    # cell, which the transposition does not keep, so there every node's
+    # moves in the whole tree are checked cell by cell instead.
     rng = random.Random(11)
-    pairs = 0
+    pairs = holes = 0
     for _ in range(300):
         w = rng.randint(3, 6)
         rects = tuple(RectDims(rng.randint(1, 4), rng.randint(1, 4)) for _ in range(rng.randint(2, 5)))
@@ -524,6 +575,9 @@ def test_mirrored_root_boxes_in_a_square_container_have_subtrees_of_one_size():
             continue
         for slack in (None, w * w - instance.total_rect_area):
             board = _Board(instance, list(range(instance.n)), slack)
+            if slack == 0:
+                holes += _subtree_size(board, instance)
+                continue
             sizes = {}
             for i, box, budget in list(board.moves()):
                 assert box[:2] == (0, 0)
@@ -534,4 +588,4 @@ def test_mirrored_root_boxes_in_a_square_container_have_subtrees_of_one_size():
             for i, (unrotated, rotated) in sizes.items():
                 assert unrotated == rotated, (instance, slack, i)
                 pairs += 1
-    assert pairs == 606
+    assert pairs == 595 and holes == 111

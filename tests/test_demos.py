@@ -23,10 +23,12 @@ def test_demos_run_and_tell_their_story():
         )
         assert done.returncode == 0, f"{demo.name}: {done.stderr}"
         out[demo.name[:2]] = done.stdout
-    # Demo 03's last case: on this feasible instance pruning costs nodes.
-    case = out["03"].split("pruning is not a free lunch:")[1]
-    plain, enhanced = map(int, re.search(r"plain (\d+), enhanced (\d+)", case).groups())
-    assert enhanced > plain
+    # Demo 03: on the feasible instance with slack pruning costs nodes; on
+    # its zero-slack twin, branching on the lowest free cell saves them.
+    for label, costs in (("pruning is not a free lunch:", True), ("a perfect tiling:", False)):
+        case = out["03"].split(label)[1]
+        plain, enhanced = map(int, re.search(r"plain (\d+), enhanced (\d+)", case).groups())
+        assert (enhanced > plain) is costs, label
     # Demo 04: no box of the 3D configuration escapes.
     assert "escaping box: None" in out["04"].splitlines()
 

@@ -4,9 +4,11 @@ The N-squares ladder packs the squares 1x1 to NxN; the N-rectangles
 ladder packs the rectangles kx(k+1) for k = 1..N, rotation allowed. A
 ladder decides the containers W x H with N <= W <= H and W*H at least
 the total area, in order of area and then W, up to the first FEASIBLE
-one; transposing a container changes no verdict. Most rungs are
-refutations with slack, which the cumulative dead-area budget prunes,
-so the node sums below pin that budget's search trees.
+one; transposing a container changes no verdict. Most squares rungs
+are refutations with slack, which the cumulative dead-area budget
+prunes; every rung of the 7- and 8-rectangles ladders has zero slack,
+where the search branches only on the lowest, then leftmost, free cell.
+The node sums below pin both rules' search trees.
 """
 
 from math import isqrt
@@ -52,18 +54,18 @@ def climb(rects, n, config=None):
 SQUARES = {
     2: (1, (2, 3), 3, 2),
     3: (1, (3, 5), 4, 3),
-    4: (3, (5, 7), 68, 10),
-    5: (3, (5, 12), 217, 13),
-    6: (5, (9, 11), 4_494, 26),
-    7: (11, (7, 22), 86_648, 67),
+    4: (3, (5, 7), 59, 10),
+    5: (3, (5, 12), 184, 13),
+    6: (5, (9, 11), 4_279, 26),
+    7: (11, (7, 22), 84_621, 65),
 }
 RECTANGLES = {
     2: (1, (2, 4), 3),
-    3: (1, (4, 5), 7),
-    4: (1, (4, 10), 8),
-    5: (1, (5, 14), 24),
-    6: (3, (6, 19), 8_515),
-    7: (3, (12, 14), 33_416),
+    3: (1, (4, 5), 6),
+    4: (1, (4, 10), 7),
+    5: (1, (5, 14), 8),
+    6: (3, (6, 19), 970),
+    7: (3, (12, 14), 2_151),
 }
 PLAIN_SQUARES_NODES = {2: 3, 3: 4, 4: 119, 5: 826, 6: 16_845}
 
@@ -84,6 +86,18 @@ def test_rectangles_ladder(n):
     assert len(verdicts) == count
     assert verdicts[-1] == (*first, SolveStatus.FEASIBLE)
     assert nodes == want_nodes
+
+
+def test_eight_rectangles_ladder_agrees_with_the_cell_search():
+    # Enhanced mode only: plain mode takes 619,584 nodes on this ladder.
+    from test_acceptance import cells_feasible  # that module imports this one
+
+    verdicts, nodes, _ = climb(rectangles(8), 8)
+    assert [(w, h) for w, h, _ in verdicts] == [(8, 30), (10, 24), (12, 20), (15, 16)]
+    assert nodes == 14_362
+    for w, h, status in verdicts:
+        feasible = cells_feasible(Instance(Container(w, h), rectangles(8)))
+        assert (status is SolveStatus.FEASIBLE) == feasible, (w, h)
 
 
 @pytest.mark.parametrize("n", sorted(PLAIN_SQUARES_NODES))

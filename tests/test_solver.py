@@ -180,9 +180,10 @@ def test_pruning_can_cost_nodes_on_feasible_instances():
     # intuition: the plain search may hit its first solution inside a
     # subtree the pruned search skips, then the pruned search pays for
     # backtracking elsewhere.  Exact counts pin determinism of both modes.
-    # The instance has zero slack, so the dead-area bound is at its
-    # strongest and still leaves pruning one node dearer.
-    instance = inst(5, 4, (1, 2), (2, 3), (2, 3), (2, 3))
+    # The instance has one cell of slack, so the enhanced search walks the
+    # staircase, and the dead-area bound, nearly at its strongest, still
+    # leaves pruning one node dearer.
+    instance = inst(5, 4, (1, 1), (2, 3), (2, 3), (2, 3))
     plain = solve(instance, SolverConfig(enhanced_pruning=False))
     enhanced = solve(instance, SolverConfig(enhanced_pruning=True))
     assert plain.status is SolveStatus.FEASIBLE
