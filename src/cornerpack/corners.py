@@ -12,16 +12,16 @@ and its shape's sides (:func:`_orientations`) fix the orientation.
 :func:`enumerate_corners` builds both from a :class:`Packing` and a
 shape. The search's :class:`_Board` owns the depth-first walk and reads
 the sides from a table built once per solve. In plain mode it grows each
-node's grid from its parent's by one box (:func:`_grow`). In enhanced
-mode with slack the placed and dead cells form a staircase, which each
-box climbs; the corners are its concave corners, where a box is never
-dominated, and each node carries its remaining dead-area budget. The
-scan alone sums a box's dead area off the steps, stopping once past the
-budget, and hands each corner on with the budget its child keeps. At
-zero slack it grows plain mode's grid, and a box goes only at the lowest,
-then leftmost, free cell (:func:`_lowest_free`). :func:`_supports` only
-names a corner's supports, and an action is checked against the supports
-it names (:func:`_action_box`).
+node's grid from its parent's by one box (:func:`_grow`). Enhanced mode
+keeps a skyline of column heights instead. At zero slack a box goes only
+at the lowest, then leftmost, free cell, so each column is covered from
+the bottom up. With slack the placed and dead cells form a staircase,
+which each box climbs; the corners are its concave corners, where a box
+is never dominated, and each node carries its remaining dead-area
+budget. The scan alone sums a box's dead area off the steps, stopping
+once past the budget, and hands each corner on with the budget its child
+keeps. :func:`_supports` only names a corner's supports, and an action
+is checked against the supports it names (:func:`_action_box`).
 """
 
 from __future__ import annotations
@@ -175,21 +175,6 @@ def _corner_scan(grid: Grid, c: Container, ew: int, eh: int) -> list[Box]:
     return out
 
 
-def _lowest_free(grid: Grid) -> tuple[int, int, int] | None:
-    """The lowest, then leftmost, free cell of ``grid`` as ``(x, y, end)``:
-    its bottom-left and the right end of the free run it starts in its grid
-    row; None when every cell is covered."""
-    xs, ys, rows = grid
-    full = (1 << (len(xs) - 1)) - 1
-    for k, row in enumerate(rows):
-        if row != full:
-            free = ~row & (row + 1)  # the lowest clear bit
-            right = row & -free  # the covered columns right of it
-            end = (right & -right).bit_length() - 1 if right else len(xs) - 1
-            return xs[free.bit_length() - 1], ys[k], xs[end]
-    return None
-
-
 def _orientations(shape: RectDims) -> tuple[tuple[int, int], ...]:
     """The sides ``(ew, eh)`` of each orientation, unrotated first; one for a square."""
     w, h = shape.width, shape.height
@@ -314,22 +299,23 @@ class _Board:
     exact inverses; :meth:`unplace` reads the mode off the record it pops.
 
     The ``slack`` (container area minus rectangle area, or None) picks the
-    move rule. Without one the state is the grid of the node's boxes, grown
-    from its parent's by the last box (None on a full board, which is never
-    scanned), and the budget is None. A slack of 0 keeps that state and
-    budget, and ``hole`` is set: every cell gets covered, so the box that
-    covers the lowest, then leftmost, free cell has its bottom-left there,
-    and the moves put boxes only there, each one a plain-mode corner. A
-    positive ``slack`` turns on the staircase: no box goes under or left
-    of a placed one, so a free cell with a placed box over it or right of
-    it stays free (it is dead). The placed and dead cells are then closed
-    downward and leftward, and the state is their staircase ``(xs, hs)``:
-    step j spans [xs[j], xs[j+1]) up to hs[j], ``xs`` ends with the width,
-    and ``hs`` falls strictly. The budget is the slack less the dead area
-    (the staircase's area less the placed area): the parent's, less the
-    box's kill, which :meth:`_stair_corners` sums once and :meth:`moves`
-    hands on with the box. ``rights`` and ``tops`` index the placed boxes
-    by right and by top edge.
+    move rule. Without one (``plain``) the state is the grid of the node's
+    boxes, grown from its parent's by the last box (None on a full board,
+    which is never scanned), and the budget is None. With one the state is
+    a skyline ``(xs, hs)``: step j spans [xs[j], xs[j+1]) up to hs[j], and
+    ``xs`` ends with the width. At a slack of 0 every cell gets covered, so
+    the box that covers the lowest, then leftmost, free cell has its
+    bottom-left there; the moves put boxes only there, each a plain-mode
+    corner, so every column is covered from the bottom up to its step's
+    height (equal steps stay unmerged), and the budget is None. A positive
+    ``slack`` turns on the staircase: no box goes under or left of a placed
+    one, so a free cell with a placed box over it or right of it stays
+    free (it is dead). The placed and dead cells are then closed downward
+    and leftward, the skyline is their staircase, and ``hs`` falls
+    strictly. The budget is the slack less the dead area: the parent's,
+    less the box's kill, which :meth:`_stair_corners` sums once and
+    :meth:`moves` hands on with the box. ``rights`` and ``tops`` index the
+    placed boxes by right and by top edge.
     """
 
     def __init__(self, instance: Instance, order: list[int], slack: int | None) -> None:
@@ -343,15 +329,15 @@ class _Board:
             self.dims.append(dims := _orientations(r))
             self.prev.append(last.get(shape := min(dims)))  # the smaller side first
             last[shape] = i
-        self.hole = slack == 0
-        if slack is None or self.hole:
+        self.plain = slack is None
+        if self.plain:
             root: tuple = ([0, self.container.width], [0, self.container.height], [0])
-            slack = None  # a grid state carries no budget
         else:
             root = ([0, self.container.width], [0])
             self.rights: dict[int, list[Box]] = {}
             self.tops: dict[int, list[Box]] = {}
-        self.nodes: list[list] = [[root, None, slack]]
+        # At zero slack no box kills any cell, so no node carries a budget.
+        self.nodes: list[list] = [[root, None, slack or None]]
 
     def place(self, i: int, box: Box, budget: int | None) -> None:
         """Enter the child placing rectangle i at ``box``, whose dead-area
@@ -359,26 +345,28 @@ class _Board:
         state = self.nodes[-1][0]
         self.boxes[i] = box
         self.path.append(i)
-        if budget is None:
+        if self.plain:
             full = len(self.path) == len(self.boxes)  # nothing is ever scanned on a full board
             state = None if full else _grow(state, box)
         else:
-            # Columns left of the box rise to its top: keep the higher steps,
-            # add one at the top to the box's right edge, keep the rest.
+            # The box's columns rise to its top: keep the steps left of it,
+            # add one at the top to its right edge, keep the rest. On the
+            # staircase the columns left of it rise too, up to a higher step.
             (xs, hs), (x, y, x2, y2) = state, box
             a = bisect_left(xs, x)
-            while a and hs[a - 1] <= y2:
-                a -= 1
+            if budget is not None:
+                while a and hs[a - 1] <= y2:
+                    a -= 1
+                self.rights.setdefault(x2, []).append(box)
+                self.tops.setdefault(y2, []).append(box)
             c = bisect_right(xs, x2)
             state = [*xs[: a + 1], x2, *xs[c:]], [*hs[:a], y2, *hs[c - 1 :]]
-            self.rights.setdefault(x2, []).append(box)
-            self.tops.setdefault(y2, []).append(box)
         self.nodes.append([state, None, budget])
 
     def unplace(self) -> None:
         """Leave the current node for its parent, taking off the last box."""
         i = self.path.pop()
-        if self.nodes.pop()[2] is not None:  # enhanced mode
+        if self.nodes.pop()[2] is not None:  # the staircase
             _, _, x2, y2 = self.boxes[i]
             self.rights[x2].pop()
             self.tops[y2].pop()
@@ -391,10 +379,11 @@ class _Board:
         Each class's next member, in ``order``, goes onto each of its
         corners in (y, x, rotated) order; permuting identical shapes never
         gives a new packing. At zero slack its corners are the boxes that
-        fit with their bottom-left at the lowest, then leftmost, free cell
-        (:func:`_lowest_free`). Every placed box went onto an earlier such
-        cell, so any box above that cell's free run covers the run's row
-        too: a box within the run and the container covers no placed cell.
+        fit with their bottom-left at the lowest, then leftmost, free cell:
+        the left end of the skyline's leftmost lowest step. Its free run
+        ends at the first higher step to its right, and nothing is placed
+        above the skyline, so a box within the run and the container covers
+        no placed cell.
         With a positive ``slack``, they are the staircase's
         (:meth:`_stair_corners`), less those that would leave more dead
         area than the node's budget, since no completion covers a dead
@@ -402,12 +391,18 @@ class _Board:
         """
         c, boxes, prev, dims = self.container, self.boxes, self.prev, self.dims
         state, _, budget = self.nodes[-1]
-        # At zero slack, the one cell to fill; a full grid has no corners either way.
-        hole = _lowest_free(state) if self.hole and state else None
+        hole = not self.plain and budget is None
+        if hole:
+            # The one cell to fill: the leftmost lowest step, free up to the next higher one.
+            xs, hs = state
+            y = min(hs)
+            j = end = hs.index(y)
+            while end < len(hs) and hs[end] == y:
+                end += 1
+            x, end = xs[j], xs[end]
         for i in self.order:
             if boxes[i] is None and (prev[i] is None or boxes[prev[i]] is not None):
                 if hole:
-                    x, y, end = hole
                     for ew, eh in dims[i]:
                         if x + ew <= end and y + eh <= c.height:
                             yield i, (x, y, x + ew, y + eh), None

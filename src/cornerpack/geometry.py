@@ -209,7 +209,9 @@ class Packing:
                 yield i, PlacedRect(self.instance.rects[i], pl)
 
     def with_placement(self, i: int, placement: Placement | None) -> "Packing":
-        """A copy of this packing with rectangle ``i`` (re)placed or removed."""
+        """This packing with rectangle ``i`` (re)placed or removed; IndexError unless 0 <= i < n."""
+        if i < 0:
+            raise IndexError(f"rectangle index {i} out of range")
         updated = list(self.placements)
         updated[i] = placement
         return Packing(self.instance, tuple(updated))

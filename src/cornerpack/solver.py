@@ -12,18 +12,18 @@ Python's recursion limit does not bound the depth. :func:`solve` keeps
 only the policy: the limit checks at node entry, the node and depth
 counts, and the result. Plain mode scans each node's corners on a
 bitboard of the placed boxes' distinct edges, grown by one box per
-placement. Enhanced mode with slack keeps the staircase of the placed
-and dead cells instead: its corners are the staircase's concave corners,
-which need no overlap or dominance test, and a box's dead area is
-arithmetic on the steps, each node carrying its remaining dead-area
-budget. The corner scan sums it once per box and hands the child its
-budget with the box; the sum stops once it passes the budget. Enhanced
-mode at zero slack grows plain mode's bitboard and tests one position,
-the lowest, then leftmost, free cell, which every packing must fill with
-a box's bottom-left. The board picks the rule from the slack it is
-given, and reads the rectangles' sides from a table built once per
-solve. A child is placed on the board and later taken off, never
-re-validated.
+placement. Enhanced mode keeps a skyline of column heights instead. With
+slack it is the staircase of the placed and dead cells: its corners are
+the staircase's concave corners, which need no overlap or dominance
+test, and a box's dead area is arithmetic on the steps, each node
+carrying its remaining dead-area budget. The corner scan sums it once
+per box and hands the child its budget with the box; the sum stops once
+it passes the budget. At zero slack it tests one position, the lowest,
+then leftmost, free cell, which every packing must fill with a box's
+bottom-left, and raises only the box's own columns. The board picks the
+rule from the slack it is given, and reads the rectangles' sides from a
+table built once per solve. A child is placed on the board and later
+taken off, never re-validated.
 Frozen packings and validated actions stay at the API boundary: the
 result packing is built once, from the board's boxes, each box's
 orientation read off its width.

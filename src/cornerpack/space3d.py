@@ -101,10 +101,12 @@ def is_feasible3(p: Packing3) -> bool:
 def blocked_directions3(i: int, p: Packing3) -> frozenset[str]:
     """Positive axis directions box ``i`` cannot move along freely.
 
-    A direction is blocked when some other box sits entirely beyond the
-    moving face and meets it on the other two axes; as in 2D, any
-    displacement counts and container borders are ignored.
+    A direction is blocked when some other box sits entirely beyond the moving
+    face and meets it on the other two axes; as in 2D, any displacement counts
+    and container borders are ignored. IndexError unless 0 <= i < n.
     """
+    if i < 0:
+        raise IndexError(f"box index {i} out of range")
     a = p.boxes[i]
     blocked = set()
     for j, b in enumerate(p.boxes):

@@ -1,6 +1,7 @@
 """Corner enumeration and corner-occupying actions."""
 
 import random
+from bisect import bisect_right
 
 import pytest
 
@@ -358,9 +359,10 @@ def test_board_descend_walks_the_whole_tree_depth_first():
     # dead area stays within the slack, and its budget the slack less the
     # dead cells, counted cell by cell; None in plain mode), and it returns
     # False exactly when no node has moves left, with the board back at the
-    # empty root. At zero slack the state is plain mode's grid, with no
-    # budget, and every node's moves are those found cell by cell at the
-    # lowest, then leftmost, free cell (hole_moves).
+    # empty root. At zero slack the state is a skyline of column heights,
+    # each column's covered cells, counted cell by cell, running from 0 up
+    # to its height, with no budget, and every node's moves are those found
+    # cell by cell at the lowest, then leftmost, free cell (hole_moves).
     rng = random.Random(6061)
     entered = holes = 0
     for _ in range(60):
@@ -388,9 +390,18 @@ def test_board_descend_walks_the_whole_tree_depth_first():
                 assert placed[i] == box and sum(b is not None for b in board.boxes) == len(placed)
                 assert [node[1] is None for node in board.nodes] == [False] * len(pending) + [True]
                 boxes = list(placed.values())
-                if not slack:
+                if slack is None:
                     full = len(placed) == instance.n
                     assert board.nodes[-1][0] == (None if full else _grid(boxes, c.width, c.height))
+                    assert board.nodes[-1][2] is None
+                elif slack == 0:
+                    xs, hs = board.nodes[-1][0]
+                    assert xs[0] == 0 and xs[-1] == c.width and len(xs) == len(hs) + 1
+                    assert all(a < b for a, b in zip(xs, xs[1:]))
+                    covered = covered_cells(boxes)
+                    for x in range(c.width):
+                        h = hs[bisect_right(xs, x) - 1]
+                        assert {y for y in range(c.height) if (x, y) in covered} == set(range(h))
                     assert board.nodes[-1][2] is None
                 else:
                     dead = dead_cells(boxes, c)
@@ -415,9 +426,10 @@ def test_staircase_corners_are_the_undominated_scan_corners_within_the_budget():
     # is that count. The board's moves use its slack less the dead cells of
     # its boxes as the budget and carry that budget less each box's kill,
     # and the walk places each box with that budget less its kill. A board
-    # with zero slack has no staircase: its moves for the next rectangle
-    # are those found cell by cell at the lowest, then leftmost, free cell
-    # (hole_moves), and the walk places one of them.
+    # with zero slack keeps a skyline with no dead cells, which is not a
+    # staircase: its moves for the next rectangle are those found cell by
+    # cell at the lowest, then leftmost, free cell (hole_moves), and the
+    # walk places one of them.
     rng = random.Random(5150)
     kept = dominated = over = killed = turned = backed = holes = 0
     for _ in range(300):

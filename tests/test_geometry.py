@@ -367,8 +367,9 @@ def test_free_directions_rejects_overlap_whatever_the_index(overlapping_index):
         lambda i, p: max_left_slide(i, p),
         lambda i, p: supporting_rects(p, i),
         lambda i, p: free_directions(i, p),
+        lambda i, p: p.with_placement(i, Placement(3, 3)),
     ],
-    ids=["max_down_slide", "max_left_slide", "supporting_rects", "free_directions"],
+    ids=["max_down_slide", "max_left_slide", "supporting_rects", "free_directions", "with_placement"],
 )
 @pytest.mark.parametrize("i", [-1, -2, 2])
 def test_out_of_range_index_raises_index_error(call, i):

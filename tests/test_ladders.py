@@ -100,6 +100,26 @@ def test_eight_rectangles_ladder_agrees_with_the_cell_search():
         assert (status is SolveStatus.FEASIBLE) == feasible, (w, h)
 
 
+def test_zero_slack_solve_builds_no_grid(monkeypatch):
+    # At zero slack enhanced mode keeps only the skyline: no node builds or
+    # grows plain mode's grid, which plain mode grows at every node.
+    from cornerpack import corners
+
+    calls = [0]
+    for name in ("_grid", "_grow"):
+
+        def counted(*args, build=getattr(corners, name)):
+            calls[0] += 1
+            return build(*args)
+
+        monkeypatch.setattr(corners, name, counted)
+    instance = Instance(Container(15, 16), rectangles(8))
+    assert solve(instance).status is SolveStatus.FEASIBLE
+    assert calls[0] == 0
+    solve(instance, SolverConfig(enhanced_pruning=False, node_limit=1_000))
+    assert calls[0] > 0
+
+
 @pytest.mark.parametrize("n", sorted(PLAIN_SQUARES_NODES))
 def test_plain_mode_agrees_on_the_squares_ladder(n):
     enhanced, _, _ = climb(squares(n), n)

@@ -213,6 +213,13 @@ def test_fixed_configuration_blocked_sets():
     assert find_escaper3(p) is None
 
 
+@pytest.mark.parametrize("i", [-1, -4, 4])
+def test_blocked_directions3_rejects_an_out_of_range_index(i):
+    # A -1 wrapped around to box 3 would answer {+x, +y} instead of an error.
+    with pytest.raises(IndexError):
+        blocked_directions3(i, table1_packing())
+
+
 def test_fixed_configuration_blocking_is_cyclic():
     # Each blocker sits one step along the cycle 0 <- 1 <- 2 <- 3 <- 0;
     # box 3 is additionally pinned sideways by box 1.
