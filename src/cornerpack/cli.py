@@ -133,8 +133,6 @@ def cmd_decompose(args) -> int:
 def cmd_gen(args) -> int:
     if args.solution is not None and args.mode != "guillotine":
         raise ValueError("--solution requires --mode guillotine")
-    if args.count < 0:
-        raise ValueError("--count cannot be negative")
     rng = random.Random(args.seed)
     if args.mode == "guillotine":
         packing = guillotine_layout(args.container, args.count, rng)
@@ -142,8 +140,7 @@ def cmd_gen(args) -> int:
         packing = corner_walk_packing(args.container, args.count, rng)
     _write_or_print(emit_instance(packing.instance), args.out)
     if args.solution is not None:
-        with open(args.solution, "w", encoding="utf-8") as f:
-            f.write(emit_solution(packing))
+        _write_or_print(emit_solution(packing), args.solution)
     return EXIT_FEASIBLE
 
 

@@ -6,22 +6,24 @@ nothing, and is bottom-left stable the moment it is placed. Placing a
 rectangle onto such a corner is the only move the exact solver performs.
 
 One bitboard scan, :func:`_corner_scan`, enumerates the corners as boxes
-on the grid of the placed boxes' distinct edges (:func:`_grid`), so its
-cost follows the number of rectangles, not the container's size; a box
-and its shape's sides (:func:`_orientations`) fix the orientation.
-:func:`enumerate_corners` builds both from a :class:`Packing` and a
-shape. The search's :class:`_Board` owns the depth-first walk and reads
-the sides from a table built once per solve. In plain mode it grows each
-node's grid from its parent's by one box (:func:`_grow`). Enhanced mode
-keeps a skyline of column heights instead. At zero slack a box goes only
-at the lowest, then leftmost, free cell, so each column is covered from
-the bottom up. With slack the placed and dead cells form a staircase,
-which each box climbs; the corners are its concave corners, where a box
-is never dominated, and each node carries its remaining dead-area
-budget. The scan alone sums a box's dead area off the steps, stopping
-once past the budget, and hands each corner on with the budget its child
-keeps. :func:`_supports` only names a corner's supports, and an action
-is checked against the supports it names (:func:`_action_box`).
+on the grid of the placed boxes' distinct edges, so its cost follows the
+number of rectangles, not the container's size; a box and its shape's
+sides (:func:`_orientations`) fix the orientation. Every grid starts
+empty (:func:`_empty_grid`) and grows by one box at a time
+(:func:`_grow`). :func:`enumerate_corners` grows one from a
+:class:`Packing`'s boxes and reads the sides off the shape. The search's
+:class:`_Board` owns the depth-first walk and reads the sides from a
+table built once per solve. In plain mode it grows each node's grid from
+its parent's by one box. Enhanced mode keeps a skyline of column heights
+instead. At zero slack a box goes only at the lowest, then leftmost, free
+cell, so each column is covered from the bottom up. With slack the
+placed and dead cells form a staircase, which each box climbs; the
+corners are its concave corners, where a box is never dominated, and
+each node carries its remaining dead-area budget. The scan alone sums a
+box's dead area off the steps, stopping once past the budget, and hands
+each corner on with the budget its child keeps. :func:`_supports` only
+names a corner's supports, and an action is checked against the
+supports it names (:func:`_action_box`).
 """
 
 from __future__ import annotations
@@ -50,7 +52,12 @@ BOTTOM_BORDER = Border.BOTTOM
 # A corner support is either the index of a placed rectangle or a border.
 Support = int | Border
 
-# Edge coordinates ``xs`` and ``ys`` and one occupancy int per row; see _grid.
+# The occupancy of placed boxes on the grid of their distinct edges: ``xs``
+# and ``ys`` are the sorted edge coordinates, the container's included; cell
+# (j, k) spans [xs[j], xs[j+1]) x [ys[k], ys[k+1]), and bit j of ``rows[k]``
+# is set when a box covers it. No box edge crosses a cell, so the grid answers
+# every cell question exactly, with its size bounded by the number of boxes
+# rather than by the container's sides.
 Grid = tuple[list[int], list[int], list[int]]
 
 
@@ -86,23 +93,9 @@ class CornerAction:
     corner: Corner
 
 
-def _grid(boxes: list[Box], width: int, height: int) -> Grid:
-    """The occupancy of ``boxes`` on the grid of their distinct edges.
-
-    ``xs``/``ys`` are the sorted edge coordinates, the container's included;
-    grid cell (j, k) spans [xs[j], xs[j+1]) x [ys[k], ys[k+1]), and bit j of
-    ``rows[k]`` is set when a box covers it. No box edge crosses a cell, so
-    the grid answers every cell question exactly, with its size bounded by
-    the number of boxes rather than by the container's sides.
-    """
-    xs = sorted({0, width, *(b[0] for b in boxes), *(b[2] for b in boxes)})
-    ys = sorted({0, height, *(b[1] for b in boxes), *(b[3] for b in boxes)})
-    rows = [0] * (len(ys) - 1)
-    for x1, y1, x2, y2 in boxes:
-        bits = (1 << bisect_left(xs, x2)) - (1 << bisect_left(xs, x1))
-        for k in range(bisect_left(ys, y1), bisect_left(ys, y2)):
-            rows[k] |= bits
-    return xs, ys, rows
+def _empty_grid(c: Container) -> Grid:
+    """The grid of the empty container ``c``: one free cell."""
+    return [0, c.width], [0, c.height], [0]
 
 
 def _grow(grid: Grid, box: Box) -> Grid:
@@ -110,8 +103,6 @@ def _grow(grid: Grid, box: Box) -> Grid:
 
     A new x edge splits a column, so every row repeats that column's bit; a
     new y edge splits a row, which is repeated. Then the box's cells are set.
-    Each step copies every row, so :func:`_grid`, not a fold of this, builds
-    the grid of many boxes at once.
     """
     xs, ys, rows = grid
     x1, y1, x2, y2 = box
@@ -215,10 +206,11 @@ def enumerate_corners(p: Packing, shape: RectDims) -> list[Corner]:
     boxes = p.boxes()
     c = p.instance.container
     rights, tops = defaultdict(list), defaultdict(list)
-    for j, (_, _, x2, y2) in boxes.items():
-        rights[x2].append(j)
-        tops[y2].append(j)
-    grid = _grid(list(boxes.values()), c.width, c.height)
+    grid = _empty_grid(c)
+    for j, box in boxes.items():
+        rights[box[2]].append(j)
+        tops[box[3]].append(j)
+        grid = _grow(grid, box)
     return [
         Corner(b[0], b[1], b[2] - b[0] != shape.width, *_supports(boxes, rights[b[0]], tops[b[1]], b))
         for b in _positions(grid, c, _orientations(shape))
@@ -231,9 +223,10 @@ def _action_box(boxes: dict[int, Box], instance: Instance, a: CornerAction) -> B
     Raises StaleCornerError unless ``a`` places an unplaced rectangle inside
     the container, off every placed box, and names on each side the border at
     coordinate 0 or a placed box touching it, which blocks that side's slide.
+    Rectangles are named by ``int`` index only; a bool is not an index.
     """
     i = a.rect_index
-    if i < 0 or i >= instance.n:
+    if type(i) is not int or not 0 <= i < instance.n:
         raise StaleCornerError(f"rectangle index {i} out of range")
     if i in boxes:
         raise StaleCornerError(f"rectangle {i} is already placed")
@@ -249,7 +242,7 @@ def _action_box(boxes: dict[int, Box], instance: Instance, a: CornerAction) -> B
         if isinstance(support, Border):
             if support is not border or not at_zero:
                 raise StaleCornerError(f"{support.value} cannot support the {side} at ({x}, {y})")
-        elif support not in boxes:
+        elif type(support) is not int or support not in boxes:
             raise StaleCornerError(f"{side} support {support} is not a placed rectangle")
         elif not box_touches(boxes[support], target, side == "left"):
             raise StaleCornerError(f"rectangle {support} no longer supports ({x}, {y})")
@@ -331,7 +324,7 @@ class _Board:
             last[shape] = i
         self.plain = slack is None
         if self.plain:
-            root: tuple = ([0, self.container.width], [0, self.container.height], [0])
+            root: tuple = _empty_grid(self.container)
         else:
             root = ([0, self.container.width], [0])
             self.rights: dict[int, list[Box]] = {}

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from .corners import _grid, _grow, _orientations, _positions
+from .corners import _empty_grid, _grow, _orientations, _positions
 from .geometry import Container, Instance, Packing, Placement, RectDims
 
 
@@ -56,12 +56,11 @@ def guillotine_layout(container: Container, count: int, rng: random.Random) -> P
 
     Leaf order is shuffled and non-square leaves are stored in a random
     orientation, so neither index order nor rotation flags betray the cut
-    tree. Raises ValueError when count exceeds the container area.
+    tree. Raises ValueError unless count is an int from 0 to the
+    container area.
     """
-    if count > container.area:
-        raise ValueError(
-            f"cannot cut {count} rectangles out of area {container.area}"
-        )
+    if type(count) is not int or not 0 <= count <= container.area:
+        raise ValueError(f"cannot cut {count!r} rectangles out of area {container.area}")
     leaves: list[tuple[int, int, int, int]] = []
     if count > 0:
         _split(0, 0, container.width, container.height, count, rng, leaves)
@@ -84,16 +83,14 @@ def corner_walk_packing(container: Container, count: int, rng: random.Random) ->
     Shapes are sampled small but each may consume at most the free area
     minus one cell per rectangle still owed, so the 1x1 fallback always
     has room (and, while any cell is free, a corner) and the walk always
-    delivers exactly ``count`` rectangles. Raises ValueError when count
-    exceeds the container area.
+    delivers exactly ``count`` rectangles. Raises ValueError unless count
+    is an int from 0 to the container area.
     """
-    if count > container.area:
-        raise ValueError(
-            f"cannot place {count} rectangles in area {container.area}"
-        )
+    if type(count) is not int or not 0 <= count <= container.area:
+        raise ValueError(f"cannot place {count!r} rectangles in area {container.area}")
     dims: list[RectDims] = []
     placements: list[Placement] = []
-    grid = _grid([], container.width, container.height)
+    grid = _empty_grid(container)
     used = 0
     for step in range(count):
         budget = container.area - used - (count - step - 1)

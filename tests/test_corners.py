@@ -2,6 +2,7 @@
 
 import random
 from bisect import bisect_right
+from functools import reduce
 
 import pytest
 
@@ -25,7 +26,7 @@ from cornerpack import (
     oracle_corners,
     supporting_rects,
 )
-from cornerpack.corners import _Board, _grid, _orientations, _positions
+from cornerpack.corners import _Board, _empty_grid, _grow, _orientations, _positions
 from cornerpack.geometry import box_touches
 from cornerpack.solver import _dominated, quick_reject
 
@@ -125,14 +126,16 @@ def test_apply_action_rejects_unstable_fabricated_corner():
 
 
 def test_apply_action_rejects_out_of_range_support_index():
-    # Rect 2 at (2, 0) rests against rect 0; only the index 0 names it.
+    # Rect 2 at (2, 0) rests against rect 0; only the int index 0 names it,
+    # not False, though False == 0, nor a float or None.
     p = make_packing(6, 2, (2, 2, 0, 0), (2, 2, None, None), (2, 2, None, None))
     apply_action(p, CornerAction(2, Corner(2, 0, False, 0, BOTTOM_BORDER)))
-    for bad in (-3, -1, 3, 10):
+    for bad in (-3, -1, 3, 10, True, False, 1.0, None):
         with pytest.raises(StaleCornerError):
             apply_action(p, CornerAction(2, Corner(2, 0, False, bad, BOTTOM_BORDER)))
-    # So must the rectangle index: -1 must not wrap around to rect 2.
-    for bad in (-1, 3):
+    # So must the rectangle index: -1 must not wrap around to rect 2, nor
+    # True stand for rect 1.
+    for bad in (-1, 3, True, False, 1.0, None):
         with pytest.raises(StaleCornerError, match=f"rectangle index {bad} out of range"):
             apply_action(p, CornerAction(bad, Corner(2, 0, False, 0, BOTTOM_BORDER)))
 
@@ -226,21 +229,32 @@ def scaled(p: Packing, k: int) -> Packing:
     )
 
 
+def point_grid(boxes: list, c: Container) -> tuple:
+    """The grid of ``boxes``, found point by point: ``xs`` and ``ys`` are
+    the sorted distinct box edges with 0 and the container's sides, and bit
+    j of ``rows[k]`` is set exactly when the point (xs[j], ys[k]) lies in
+    some half-open box. It never lists unit cells, so it holds at any scale."""
+    xs = sorted({0, c.width, *(b[0] for b in boxes), *(b[2] for b in boxes)})
+    ys = sorted({0, c.height, *(b[1] for b in boxes), *(b[3] for b in boxes)})
+    inside = [[any(x1 <= x < x2 and y1 <= y < y2 for x1, y1, x2, y2 in boxes) for x in xs] for y in ys[:-1]]
+    return xs, ys, [sum(1 << j for j, hit in enumerate(row) if hit) for row in inside]
+
+
 def test_board_place_and_unplace_are_inverses_and_match_enumeration():
     # Place a random partial packing's rectangles one by one in random
     # order on a plain board, then take them off in reverse. At every step
     # the board's boxes are those of the equivalent Packing and its path
     # the indices placed so far, it keeps one node record per placed box
     # and one for the root, none of them expanded, the top record's grid,
-    # grown one box at a time, is the grid built from scratch from those
-    # boxes (same edges, same rows; a full board keeps none), the corners
-    # that grid gives a random shape, with the orientation read off each
-    # box, are enumerate_corners' and the brute-force oracle's, in the same
-    # order, and each unplace restores boxes, path and records. The board
-    # keeps the order it is given, and prev[i] names the previous index of
-    # rectangle i's shape up to rotation. Scaled by 10**5 the grid stays as
-    # small (the oracle, which scans every integral position, is left out
-    # there).
+    # grown one box at a time, is the grid of those boxes found point by
+    # point (point_grid: same edges, same rows; a full board keeps none),
+    # the corners that grid gives a random shape, with the orientation read
+    # off each box, are enumerate_corners' and the brute-force oracle's, in
+    # the same order, and each unplace restores boxes, path and records.
+    # The board keeps the order it is given, and prev[i] names the previous
+    # index of rectangle i's shape up to rotation. Scaled by 10**5 the grid
+    # stays as small (the oracle, which scans every integral position, is
+    # left out there).
     rng = random.Random(9091)
     for k in (1, 10**5):
         for _ in range(300):
@@ -265,8 +279,8 @@ def test_board_place_and_unplace_are_inverses_and_match_enumeration():
                 assert [node[1] for node in board.nodes] == [None] * (step + 1)
                 if len(placed) == p.instance.n:
                     assert grid is None  # a full board is never scanned
-                    grid = _grid(placed, c.width, c.height)
-                assert grid == _grid(placed, c.width, c.height)
+                    grid = point_grid(placed, c)
+                assert grid == point_grid(placed, c)
                 assert len(grid[0]) <= 2 * len(placed) + 2
                 small = random_shape(rng, 4, 4)
                 shape = RectDims(small.width * k, small.height * k)
@@ -287,7 +301,7 @@ def test_board_place_and_unplace_are_inverses_and_match_enumeration():
                 boxes, path, nodes = saved.pop()
                 assert (board.boxes, board.path, board.nodes) == (boxes, path, nodes)
                 placed = [b for b in boxes if b is not None]
-                assert nodes[-1][0] == _grid(placed, c.width, c.height)
+                assert nodes[-1][0] == point_grid(placed, c)
             assert not any(board.boxes) and board.path == [] and len(board.nodes) == 1
             assert board.order == given
 
@@ -392,7 +406,7 @@ def test_board_descend_walks_the_whole_tree_depth_first():
                 boxes = list(placed.values())
                 if slack is None:
                     full = len(placed) == instance.n
-                    assert board.nodes[-1][0] == (None if full else _grid(boxes, c.width, c.height))
+                    assert board.nodes[-1][0] == (None if full else point_grid(boxes, c))
                     assert board.nodes[-1][2] is None
                 elif slack == 0:
                     xs, hs = board.nodes[-1][0]
@@ -454,7 +468,7 @@ def test_staircase_corners_are_the_undominated_scan_corners_within_the_budget():
             stair = board.nodes[-1][0]
             placed = [b for b in board.boxes if b is not None]
             dead = len(dead_cells(placed, c))
-            scanned = _positions(_grid(placed, c.width, c.height), c, _orientations(shape))
+            scanned = _positions(reduce(_grow, placed, _empty_grid(c)), c, _orientations(shape))
             kills = {
                 box: len(dead_cells([*placed, box], c)) - dead
                 for box in scanned

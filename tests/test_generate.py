@@ -91,6 +91,28 @@ def test_corner_walk_is_deterministic_per_seed():
     assert a == b
 
 
+def test_corner_walk_output_is_pinned_for_a_fixed_seed():
+    # `cornerpack gen --mode corner-walk --seed` prints this walk's
+    # documents, so how the walk builds its corner grid must not move it.
+    p = corner_walk_packing(Container(9, 9), 12, random.Random(42))
+    assert [(r.width, r.height) for r in p.instance.rects] == [
+        (1, 1), (2, 2), (1, 5), (5, 4), (1, 1), (2, 5), (5, 2), (2, 4), (3, 1), (4, 3), (3, 1), (1, 1),
+    ]
+    assert [(pl.x, pl.y, pl.rotated) for pl in p.placements] == [
+        (0, 0, False), (1, 0, False), (3, 0, False), (4, 0, False), (0, 1, False), (0, 2, False),
+        (0, 7, False), (2, 5, True), (4, 4, False), (6, 5, True), (2, 2, True), (7, 4, False),
+    ]
+
+
+@pytest.mark.parametrize("generator", [guillotine_layout, corner_walk_packing])
+@pytest.mark.parametrize("count", [-1, -3, True, False, 2.0, None])
+def test_generators_reject_a_count_that_is_not_an_int_from_zero(generator, count):
+    # A negative count gave an empty packing, and a bool or a float was
+    # taken for a number of rectangles.
+    with pytest.raises(ValueError, match="area"):
+        generator(Container(2, 2), count, random.Random(0))
+
+
 def test_corner_walk_derives_no_box_map(monkeypatch):
     # The walk grows one occupancy grid box by box; it never rebuilds the
     # packing so far to derive its boxes afresh at each step.
