@@ -293,22 +293,21 @@ class _Board:
 
     The ``slack`` (container area minus rectangle area, or None) picks the
     move rule. Without one (``plain``) the state is the grid of the node's
-    boxes, grown from its parent's by the last box (None on a full board,
-    which is never scanned), and the budget is None. With one the state is
-    a skyline ``(xs, hs)``: step j spans [xs[j], xs[j+1]) up to hs[j], and
-    ``xs`` ends with the width. At a slack of 0 every cell gets covered, so
-    the box that covers the lowest, then leftmost, free cell has its
-    bottom-left there; the moves put boxes only there, each a plain-mode
-    corner, so every column is covered from the bottom up to its step's
-    height (equal steps stay unmerged), and the budget is None. A positive
-    ``slack`` turns on the staircase: no box goes under or left of a placed
-    one, so a free cell with a placed box over it or right of it stays
-    free (it is dead). The placed and dead cells are then closed downward
-    and leftward, the skyline is their staircase, and ``hs`` falls
-    strictly. The budget is the slack less the dead area: the parent's,
-    less the box's kill, which :meth:`_stair_corners` sums once and
-    :meth:`moves` hands on with the box. ``rights`` and ``tops`` index the
-    placed boxes by right and by top edge.
+    boxes, grown from its parent's by the last box, and the budget is None.
+    With one the state is a skyline ``(xs, hs)``: step j spans [xs[j],
+    xs[j+1]) up to hs[j], and ``xs`` ends with the width. At a slack of 0
+    every cell gets covered, so the box that covers the lowest, then
+    leftmost, free cell has its bottom-left there; the moves put boxes only
+    there, each a plain-mode corner, so every column is covered from the
+    bottom up to its step's height (equal steps stay unmerged), and the
+    budget is None. A positive ``slack`` turns on the staircase: no box goes
+    under or left of a placed one, so a free cell with a placed box over it
+    or right of it stays free (it is dead). The placed and dead cells are
+    then closed downward and leftward, the skyline is their staircase, and
+    ``hs`` falls strictly. The budget is the slack less the dead area: the
+    parent's, less the box's kill, which :meth:`_stair_corners` sums once
+    and :meth:`moves` hands on with the box. ``rights`` and ``tops`` index
+    the placed boxes by right and by top edge.
     """
 
     def __init__(self, instance: Instance, order: list[int], slack: int | None) -> None:
@@ -339,8 +338,7 @@ class _Board:
         self.boxes[i] = box
         self.path.append(i)
         if self.plain:
-            full = len(self.path) == len(self.boxes)  # nothing is ever scanned on a full board
-            state = None if full else _grow(state, box)
+            state = _grow(state, box)
         else:
             # The box's columns rise to its top: keep the steps left of it,
             # add one at the top to its right edge, keep the rest. On the

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .corners import BOTTOM_BORDER, LEFT_BORDER, Corner, CornerAction, _action_box, _supports
-from .geometry import Box, Packing, Placement, box_over, box_right_of, is_feasible
+from .geometry import Box, Packing, Placement, _rect_index, box_over, box_right_of, is_feasible
 from .stability import InfeasiblePackingError
 # Unused here: the benchmark's tracer patches these names on this module
 # until its patch points become optional (ROADMAP item 1).
@@ -151,9 +151,10 @@ class PlacementOrder:
     def __post_init__(self):
         if sorted(self.order) != sorted(self.packing.placed_indices()):
             raise ValueError("order must be a permutation of the placed indices")
+        placements, n = self.packing.placements, self.packing.instance.n
         for action in self.actions:
             i = action.rect_index
-            pl = self.packing.placements[i]
+            pl = placements[_rect_index(i, n)]
             if action.corner.position != (pl.x, pl.y, pl.rotated):
                 raise ValueError(f"action for rectangle {i} does not rebuild its placement")
 

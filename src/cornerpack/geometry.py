@@ -83,6 +83,13 @@ class Placement:
             )
 
 
+def _rect_index(i: int, n: int) -> int:
+    """``i`` when it names one of ``n`` rectangles; a bool names none."""
+    if type(i) is int and 0 <= i < n:
+        return i
+    raise IndexError(f"rectangle index {i!r} out of range")
+
+
 # A placed rectangle as the half-open box (x1, y1, x2, y2).
 Box = tuple[int, int, int, int]
 
@@ -190,10 +197,8 @@ class Packing:
         return [i for i, pl in enumerate(self.placements) if pl is None]
 
     def placed_rect(self, i: int) -> PlacedRect:
-        """Rectangle ``i`` with its placement; IndexError unless 0 <= i < n."""
-        if i < 0:
-            raise IndexError(f"rectangle index {i} out of range")
-        pl = self.placements[i]
+        """Rectangle ``i`` with its placement; IndexError unless ``i`` is an int from 0 to n - 1."""
+        pl = self.placements[_rect_index(i, self.instance.n)]
         if pl is None:
             raise ValueError(f"rectangle {i} is not placed")
         return PlacedRect(self.instance.rects[i], pl)
@@ -209,11 +214,9 @@ class Packing:
                 yield i, PlacedRect(self.instance.rects[i], pl)
 
     def with_placement(self, i: int, placement: Placement | None) -> "Packing":
-        """This packing with rectangle ``i`` (re)placed or removed; IndexError unless 0 <= i < n."""
-        if i < 0:
-            raise IndexError(f"rectangle index {i} out of range")
+        """This packing with rectangle ``i`` (re)placed or removed; IndexError as in placed_rect."""
         updated = list(self.placements)
-        updated[i] = placement
+        updated[_rect_index(i, self.instance.n)] = placement
         return Packing(self.instance, tuple(updated))
 
 

@@ -103,10 +103,10 @@ def blocked_directions3(i: int, p: Packing3) -> frozenset[str]:
 
     A direction is blocked when some other box sits entirely beyond the moving
     face and meets it on the other two axes; as in 2D, any displacement counts
-    and container borders are ignored. IndexError unless 0 <= i < n.
+    and container borders are ignored. IndexError unless ``i`` is an int from 0 to n - 1.
     """
-    if i < 0:
-        raise IndexError(f"box index {i} out of range")
+    if not (type(i) is int and 0 <= i < len(p.boxes)):
+        raise IndexError(f"box index {i!r} out of range")
     a = p.boxes[i]
     blocked = set()
     for j, b in enumerate(p.boxes):

@@ -21,7 +21,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 
-from .geometry import Box, Packing, Placement, box_over, box_right_of, is_feasible, l_value
+from .geometry import Box, Packing, Placement, _rect_index, box_over, box_right_of, is_feasible, l_value
 
 DOWN = "down"
 LEFT = "left"
@@ -153,13 +153,11 @@ def compact(p: Packing) -> tuple[Packing, CompactionTrace]:
 
 
 def apply_trace(p: Packing, trace: CompactionTrace) -> Packing:
-    """Replay a compaction trace step by step from ``p``; a step naming no
-    rectangle of ``p`` raises IndexError, as :meth:`Packing.placed_rect` does."""
-    placements = list(p.placements)
+    """Replay a compaction trace step by step from ``p``; a step whose index is
+    not an int from 0 to n - 1 raises IndexError, as :meth:`Packing.placed_rect` does."""
+    placements, n = list(p.placements), p.instance.n
     for i, direction, distance in trace.steps:
-        if i < 0:
-            raise IndexError(f"rectangle index {i} out of range")
-        pl = placements[i]
+        pl = placements[_rect_index(i, n)]
         if pl is None:
             raise ValueError(f"trace moves unplaced rectangle {i}")
         dx, dy = (0, distance) if direction == DOWN else (distance, 0)

@@ -17,6 +17,7 @@ import random
 import time
 import xml.etree.ElementTree as ET
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -666,7 +667,7 @@ def test_criterion_8_cli_contract(tmp_path, capsys):
     # Solution documents round-trip byte-identically through parse/emit.
     main(["solve", feasible])
     solved, _ = capsys.readouterr()
-    instance = parse_instance(open(feasible, encoding="utf-8").read())
+    instance = parse_instance(Path(feasible).read_text(encoding="utf-8"))
     round_trip = emit_solution(parse_solution(solved, instance)) == solved
     marker_trip = emit_solution(parse_solution('{\n  "feasible": false\n}\n', instance)) == '{\n  "feasible": false\n}\n'
 

@@ -327,8 +327,8 @@ def test_gen_writes_instance_and_witness_files(workdir, capsys):
     out, _ = capsys.readouterr()
     assert code == 0
     assert out == ""
-    instance = parse_instance(open(inst_path, encoding="utf-8").read())
-    witness = parse_solution(open(sol_path, encoding="utf-8").read(), instance)
+    instance = parse_instance(Path(inst_path).read_text(encoding="utf-8"))
+    witness = parse_solution(Path(sol_path).read_text(encoding="utf-8"), instance)
     assert is_feasible(witness) and witness.is_complete
 
 

@@ -277,9 +277,6 @@ def test_board_place_and_unplace_are_inverses_and_match_enumeration():
                 grid = board.nodes[-1][0]
                 placed = [b for b in board.boxes if b is not None]
                 assert [node[1] for node in board.nodes] == [None] * (step + 1)
-                if len(placed) == p.instance.n:
-                    assert grid is None  # a full board is never scanned
-                    grid = point_grid(placed, c)
                 assert grid == point_grid(placed, c)
                 assert len(grid[0]) <= 2 * len(placed) + 2
                 small = random_shape(rng, 4, 4)
@@ -405,8 +402,7 @@ def test_board_descend_walks_the_whole_tree_depth_first():
                 assert [node[1] is None for node in board.nodes] == [False] * len(pending) + [True]
                 boxes = list(placed.values())
                 if slack is None:
-                    full = len(placed) == instance.n
-                    assert board.nodes[-1][0] == (None if full else point_grid(boxes, c))
+                    assert board.nodes[-1][0] == point_grid(boxes, c)
                     assert board.nodes[-1][2] is None
                 elif slack == 0:
                     xs, hs = board.nodes[-1][0]

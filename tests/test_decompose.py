@@ -280,6 +280,9 @@ def test_placement_order_validation():
     a0 = good.actions[0]
     with pytest.raises(ValueError, match="permutation of the placed indices"):
         PlacementOrder(p, (a0, a0))
+    # True equals 1, so it passes the permutation check, yet names no rectangle.
+    with pytest.raises(IndexError, match="rectangle index True out of range"):
+        PlacementOrder(p, (a0, CornerAction(True, good.actions[1].corner)))
 
 
 def chained(po):

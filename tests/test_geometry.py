@@ -18,6 +18,7 @@ from cornerpack import (
     RectDims,
     free_directions,
     guillotine_layout,
+    is_bottom_left_stable_rect,
     is_feasible,
     is_over,
     is_right_of,
@@ -363,18 +364,28 @@ def test_free_directions_rejects_overlap_whatever_the_index(overlapping_index):
 @pytest.mark.parametrize(
     "call",
     [
+        lambda i, p: p.placed_rect(i),
         lambda i, p: max_down_slide(i, p),
         lambda i, p: max_left_slide(i, p),
+        lambda i, p: is_bottom_left_stable_rect(i, p),
         lambda i, p: supporting_rects(p, i),
         lambda i, p: free_directions(i, p),
         lambda i, p: p.with_placement(i, Placement(3, 3)),
     ],
-    ids=["max_down_slide", "max_left_slide", "supporting_rects", "free_directions", "with_placement"],
+    ids=[
+        "placed_rect",
+        "max_down_slide",
+        "max_left_slide",
+        "is_bottom_left_stable_rect",
+        "supporting_rects",
+        "free_directions",
+        "with_placement",
+    ],
 )
-@pytest.mark.parametrize("i", [-1, -2, 2])
+@pytest.mark.parametrize("i", [-1, -2, 2, True, False, 1.0, None])
 def test_out_of_range_index_raises_index_error(call, i):
-    # Rect 1 floats one unit above the floor, so a -1 wrapped around to it
-    # would get a down slide of 1 instead of an error.
+    # Rect 1 floats one unit above the floor, so a -1 wrapped around to it,
+    # or a True taken for 1, would get a down slide of 1 instead of an error.
     p = make_packing(4, 4, (1, 1, 0, 0), (1, 1, 2, 1))
     with pytest.raises(IndexError):
         call(i, p)

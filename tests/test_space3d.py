@@ -213,9 +213,10 @@ def test_fixed_configuration_blocked_sets():
     assert find_escaper3(p) is None
 
 
-@pytest.mark.parametrize("i", [-1, -4, 4])
+@pytest.mark.parametrize("i", [-1, -4, 4, True, False, 1.0, None])
 def test_blocked_directions3_rejects_an_out_of_range_index(i):
-    # A -1 wrapped around to box 3 would answer {+x, +y} instead of an error.
+    # A -1 wrapped around to box 3 would answer {+x, +y}, and a True taken
+    # for box 1 {+z}, instead of an error.
     with pytest.raises(IndexError):
         blocked_directions3(i, table1_packing())
 

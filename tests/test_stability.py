@@ -179,15 +179,16 @@ def test_compaction_trace_validates_accounting():
 
 
 def test_apply_trace_rejects_steps_it_cannot_replay():
-    # An index outside 0..n-1 raises IndexError, as Packing.placed_rect
-    # does: -1 must not wrap around and move the last rectangle.
+    # An index that is not an int from 0 to n-1 raises IndexError, as
+    # Packing.placed_rect does: neither -1, wrapping around, nor True,
+    # taken for 1, may move the last rectangle.
     p = make_packing(6, 6, (2, 2, 0, 3), (2, 2, 3, 3))
 
     def steps(i, direction="down"):
         return CompactionTrace(((i, direction, 1),), 6, 5)
 
     assert apply_trace(p, steps(1)).placements == (Placement(0, 3), Placement(3, 2))
-    for i in (-1, -2, 2):
+    for i in (-1, -2, 2, True, 1.0):
         with pytest.raises(IndexError):
             apply_trace(p, steps(i))
     with pytest.raises(ValueError, match="unknown trace direction"):
